@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/dep_set.h"
@@ -21,6 +22,9 @@ namespace codec {
 class Writer {
  public:
   Writer() = default;
+  // Appends after the content of `buf`, keeping its capacity: a caller that sized
+  // the buffer with SizeWriter encodes into it without reallocating.
+  explicit Writer(std::vector<uint8_t> buf) : buf_(std::move(buf)) {}
 
   void U8(uint8_t v) { buf_.push_back(v); }
   void U32(uint32_t v);

@@ -83,8 +83,9 @@ AtlasEngine::Phase AtlasEngine::PhaseOf(const Dot& dot) const {
 }
 
 DepSet AtlasEngine::CommittedDeps(const Dot& dot) const {
-  const Decided* d = decided_.Find(dot);
-  return d == nullptr ? DepSet{} : d->deps;
+  DepSet deps;
+  decided_.Find(dot, nullptr, &deps);
+  return deps;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,12 +237,9 @@ void AtlasEngine::ProposeConsensus(const Dot& dot, Info& info, const smr::Comman
 void AtlasEngine::HandleMConsensus(ProcessId from, const msg::MConsensus& m) {
   if (CommittedOrExecuted(m.dot)) {
     // The value is already decided; tell the proposer directly (mirrors lines 34-36).
-    const Decided* d = decided_.Find(m.dot);
-    if (d != nullptr) {
-      msg::MCommit commit;
+    msg::MCommit commit;
+    if (decided_.Find(m.dot, &commit.cmd, &commit.deps)) {
       commit.dot = m.dot;
-      commit.cmd = d->cmd;
-      commit.deps = d->deps;
       SendTo(from, commit);
     }
     return;
@@ -316,14 +314,7 @@ void AtlasEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd, const Dep
   info.deps = commit_deps_scratch_;
   info.phase = Phase::kCommit;  // line 30
   const bool was_locally_submitted = info.locally_submitted;
-  Decided& d = decided_[dot];
-  d.cmd = commit_cmd_scratch_;
-  d.deps = commit_deps_scratch_;
-  decided_order_.push_back(dot);
-  while (decided_order_.size() > decided_cache_limit_) {
-    decided_.Erase(decided_order_.front());
-    decided_order_.pop_front();
-  }
+  decided_.Record(dot, commit_cmd_scratch_, commit_deps_scratch_);
   // Commands learned only at commit time still enter the conflict index: they are
   // non-start identifiers, so later conflicts() calls must report them. NFR reads are
   // never tracked.
@@ -424,15 +415,12 @@ void AtlasEngine::Recover(const Dot& dot) {
 void AtlasEngine::HandleMRec(ProcessId from, const msg::MRec& m) {
   // Lines 34-36: already decided, short-circuit with MCommit.
   if (CommittedOrExecuted(m.dot)) {
-    const Decided* d = decided_.Find(m.dot);
-    if (d != nullptr) {
-      msg::MCommit commit;
+    msg::MCommit commit;
+    if (decided_.Find(m.dot, &commit.cmd, &commit.deps)) {
       commit.dot = m.dot;
-      commit.cmd = d->cmd;
-      commit.deps = d->deps;
       SendTo(from, commit);
     }
-    // Beyond the decided cache horizon: stay silent; the recoverer learns the value
+    // Beyond the decided log's horizon: stay silent; the recoverer learns the value
     // from a replica that still caches it (recovering ancient commands is rare).
     return;
   }

@@ -11,7 +11,6 @@
 #ifndef SRC_CORE_ATLAS_H_
 #define SRC_CORE_ATLAS_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,6 +24,7 @@
 #include "src/exec/graph_executor.h"
 #include "src/msg/message.h"
 #include "src/smr/conflict_index.h"
+#include "src/smr/decided_log.h"
 #include "src/smr/engine.h"
 
 namespace atlas {
@@ -138,8 +138,8 @@ class AtlasEngine final : public smr::Engine {
   common::DepSet commit_deps_scratch_;
 
   uint64_t next_seq_ = 1;
-  // Open-addressed flat maps (see dot_map.h): per-command protocol state and the
-  // decided-value cache were the last per-command node allocations on the hot path.
+  // Open-addressed flat map (see dot_map.h): per-command protocol state was the last
+  // per-command node allocation on the hot path.
   common::DotMap<Info> infos_;
   std::unordered_set<common::ProcessId> suspected_;
   bool scan_timer_armed_ = false;
@@ -157,17 +157,11 @@ class AtlasEngine final : public smr::Engine {
   bool any_orphaned_ = false;
   std::unordered_map<common::ProcessId, uint64_t> peer_floors_;
 
-  // Bounded cache of decided (committed) values, answering late MRec/MConsensus after
-  // the command executed and its Info was reclaimed. Full stability-based GC is out of
-  // scope; the cache makes recovery of recently executed commands exact and falls back
-  // to silence (the recoverer learns from another replica) beyond the horizon.
-  struct Decided {
-    smr::Command cmd;
-    common::DepSet deps;
-  };
-  common::DotMap<Decided> decided_;
-  std::deque<common::Dot> decided_order_;
-  size_t decided_cache_limit_ = 1 << 17;
+  // Decided (committed) values, answering late MRec/MConsensus after the command
+  // executed and its Info was reclaimed. Full stability-based GC is out of scope; the
+  // log makes recovery of recently executed commands exact and falls back to silence
+  // (the recoverer learns from another replica) beyond its horizon.
+  smr::DecidedLog decided_;
 
   // Arms a commit-outcome watch for a dot this replica knows about but did not
   // coordinate: if the commit has not arrived after commit_timeout (lost MCommit,

@@ -277,7 +277,7 @@ void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,
   }
   stats_.committed++;
   ctx_->Committed(dot, cmd, fast_path);
-  RememberDecided(dot, cmd, deps, seqno);
+  decided_.Record(dot, cmd, deps, seqno);
   // Every dependency must eventually commit for `dot` to execute; track unknown
   // dependencies so the recovery scan can find them if their coordinator failed.
   // Inserting may rehash infos_, so `info` is dead from here on.
@@ -328,21 +328,6 @@ void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,
     horizon = std::max(horizon, dot.seq);
   }
   executor_.Commit(dot, cmd, deps, seqno);
-}
-
-void EPaxosEngine::RememberDecided(const Dot& dot, const smr::Command& cmd,
-                                   const DepSet& deps, uint64_t seqno) {
-  Decided& d = decided_[dot];
-  d.cmd = cmd;
-  d.deps = deps;
-  d.seqno = seqno;
-  if (decided_ring_.size() < decided_cache_limit_) {
-    decided_ring_.push_back(dot);
-  } else {
-    decided_.Erase(decided_ring_[decided_ring_pos_]);
-    decided_ring_[decided_ring_pos_] = dot;
-    decided_ring_pos_ = (decided_ring_pos_ + 1) % decided_cache_limit_;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -525,16 +510,12 @@ void EPaxosEngine::StartRecovery(const Dot& dot, Info& info) {
 
 void EPaxosEngine::HandlePrepare(ProcessId from, const msg::EpPrepare& m) {
   if (executor_.IsCommitted(m.dot)) {
-    // Already decided here. Answer from the decided cache when possible; beyond its
+    // Already decided here. Answer from the decided log when possible; beyond its
     // horizon stay silent rather than claim ignorance — a kNone reply for an executed
     // command could let recovery commit a noOp in its place.
-    const Decided* d = decided_.Find(m.dot);
-    if (d != nullptr) {
-      msg::EpCommit commit;
+    msg::EpCommit commit;
+    if (decided_.Find(m.dot, &commit.cmd, &commit.deps, &commit.seqno)) {
       commit.dot = m.dot;
-      commit.cmd = d->cmd;
-      commit.deps = d->deps;
-      commit.seqno = d->seqno;
       SendTo(from, commit);
     }
     return;

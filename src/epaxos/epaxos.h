@@ -19,7 +19,7 @@
 // recovery_retry_interval, mirroring Atlas) so lost Prepare rounds retry, plus an
 // optional per-command commit timeout for the submitting replica. A restarted replica
 // (ApplyRestartHint) re-learns decided commands through the same scan; a bounded
-// decided-value cache answers Prepares for recently executed commands whose Info was
+// decided-value log answers Prepares for recently executed commands whose Info was
 // reclaimed.
 //
 // The NFR read optimization (§4) applies to EPaxos too (the paper's "*EPaxos"): enabled
@@ -39,6 +39,7 @@
 #include "src/exec/graph_executor.h"
 #include "src/msg/message.h"
 #include "src/smr/conflict_index.h"
+#include "src/smr/decided_log.h"
 #include "src/smr/engine.h"
 
 namespace epaxos {
@@ -171,12 +172,6 @@ class EPaxosEngine final : public smr::Engine {
   void ApplyCommit(const common::Dot& dot, const smr::Command& cmd,
                    const common::DepSet& deps, uint64_t seqno, bool fast_path);
 
-  // True while some process is suspected / restarted state is live: only then do the
-  // recovery structures (decided cache, dep placeholders, scan timer) engage, keeping
-  // the failure-free hot path allocation-free and byte-identical.
-  bool RecoveryActive() const {
-    return restarted_ || !suspected_.empty() || !peer_floors_.empty();
-  }
   // Returns true while uncommitted commands eligible for recovery remain.
   bool RecoveryScan();
   void ArmScanTimer();
@@ -218,22 +213,10 @@ class EPaxosEngine final : public smr::Engine {
   bool any_orphaned_ = false;
   std::unordered_map<common::ProcessId, uint64_t> peer_floors_;
 
-  // Bounded cache of decided (committed) values, answering Prepares for commands whose
-  // Info the execute callback already erased (e.g. a restarted replica re-learning a
-  // dependency the rest of the cluster executed long ago). Insertion order lives in a
-  // ring (not a deque) so steady-state commits stay amortized-allocation-free —
-  // alloc_test pins the replica path.
-  struct Decided {
-    smr::Command cmd;
-    common::DepSet deps;
-    uint64_t seqno = 0;
-  };
-  void RememberDecided(const common::Dot& dot, const smr::Command& cmd,
-                       const common::DepSet& deps, uint64_t seqno);
-  common::DotMap<Decided> decided_;
-  std::vector<common::Dot> decided_ring_;
-  size_t decided_ring_pos_ = 0;
-  size_t decided_cache_limit_ = 1 << 17;
+  // Decided (committed) values, answering Prepares for commands whose Info the
+  // execute callback already erased (e.g. a restarted replica re-learning a
+  // dependency the rest of the cluster executed long ago).
+  smr::DecidedLog decided_;
 
   // Arms a commit-outcome watch for a dot this replica knows about but did not
   // coordinate: if the commit has not arrived after commit_timeout (lost EpCommit,

@@ -28,6 +28,7 @@
 #include "src/common/quorum.h"
 #include "src/common/types.h"
 #include "src/msg/message.h"
+#include "src/smr/decided_log.h"
 #include "src/smr/engine.h"
 
 namespace mencius {
@@ -140,7 +141,8 @@ class MenciusEngine final : public smr::Engine {
   uint64_t execute_upto_ = 0;
   uint64_t max_seen_slot_ = 0;  // highest slot observed in traffic (catch-up bound)
   std::vector<Outcome> history_;  // bounded ring, see Outcome
-  size_t history_limit_ = 1 << 17;  // ring capacity, mirrors decided_cache_limit_
+  // Ring capacity: the same recovery horizon as the Atlas/EPaxos decided logs.
+  size_t history_limit_ = smr::kDecidedHorizon;
   std::set<common::ProcessId> suspected_;
   bool restarted_ = false;
   bool retry_timer_armed_ = false;

@@ -17,9 +17,11 @@ EventLoop::EventLoop() {
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   CHECK_GE(wake_fd_, 0);
   WatchFd(wake_fd_, EPOLLIN, [this](uint32_t) {
+    // One read zeroes the whole (non-semaphore) counter; a later wake keeps the
+    // level-triggered fd readable, so nothing posted after this read is missed.
     uint64_t junk;
-    while (read(wake_fd_, &junk, sizeof(junk)) > 0) {
-    }
+    ssize_t rc = read(wake_fd_, &junk, sizeof(junk));
+    (void)rc;
     DrainPosted();
   });
 }

@@ -154,10 +154,12 @@ class Doorbell {
   int fd() const { return fd_; }
 
   // Clears the eventfd counter without blocking (epoll-integrated consumers).
+  // One read suffices: a non-semaphore eventfd read returns and zeroes the whole
+  // counter, and a ring landing after it leaves the fd readable again.
   void Drain() {
     uint64_t junk;
-    while (read(fd_, &junk, sizeof(junk)) > 0) {
-    }
+    ssize_t rc = read(fd_, &junk, sizeof(junk));
+    (void)rc;
   }
 
   // Blocks until rung or timeout_us elapses (negative = no timeout). Returns
@@ -171,9 +173,7 @@ class Doorbell {
     int rc = poll(&pfd, 1, timeout_ms);
     armed_.store(false, std::memory_order_seq_cst);
     if (rc > 0) {
-      uint64_t junk;
-      while (read(fd_, &junk, sizeof(junk)) > 0) {
-      }
+      Drain();
       return true;
     }
     return false;

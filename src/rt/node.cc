@@ -76,9 +76,11 @@ class Connection {
     out_.insert(out_.end(), payload.begin(), payload.end());
   }
 
+  // MSG_NOSIGNAL: a peer that closed its end yields EPIPE (-> closed_) instead of
+  // a SIGPIPE that would kill the whole node.
   void Flush() {
     while (!out_.empty()) {
-      ssize_t n = write(fd_, out_.data(), out_.size());
+      ssize_t n = send(fd_, out_.data(), out_.size(), MSG_NOSIGNAL);
       if (n > 0) {
         out_.erase(out_.begin(), out_.begin() + n);
       } else {
@@ -966,7 +968,8 @@ bool Client::Connect() {
   std::vector<uint8_t> out(4);
   std::memcpy(out.data(), &len, 4);
   out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-  return write(fd_, out.data(), out.size()) == static_cast<ssize_t>(out.size());
+  return send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(out.size());
 }
 
 bool Client::Send(const smr::Command& cmd) {
@@ -984,7 +987,8 @@ bool Client::Send(const smr::Command& cmd) {
   std::vector<uint8_t> out(4);
   std::memcpy(out.data(), &len, 4);
   out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-  return write(fd_, out.data(), out.size()) == static_cast<ssize_t>(out.size());
+  return send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(out.size());
 }
 
 bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {

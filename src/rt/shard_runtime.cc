@@ -310,8 +310,7 @@ class ShardRuntime::Worker final : public smr::Context {
       // Seed the recovered floors after OnStart so protocol initialization
       // cannot clobber them; fresh submissions then mint dots above anything
       // a prior incarnation may have used.
-      engine.ApplyRestartHint(
-          owner_->deployment_->RecoveredRestartHints()[shard_]);
+      engine.ApplyRestartHint(owner_->deployment_->RecoveredRestartHint(shard_));
     }
     ShardInput in;
     while (!stop_.load(std::memory_order_acquire)) {

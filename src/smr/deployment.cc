@@ -209,15 +209,23 @@ void Deployment::NotifyRestore(common::ProcessId p,
 
 std::vector<RestartHint> Deployment::RecoveredRestartHints() const {
   std::vector<RestartHint> hints(opts_.partitions);
-  for (uint32_t s = 0; s < opts_.partitions && s < durability_.size(); s++) {
-    hints[s].seq_floor = durability_[s]->persisted_seq_floor();
+  for (uint32_t s = 0; s < opts_.partitions; s++) {
+    hints[s] = RecoveredRestartHint(s);
+  }
+  return hints;
+}
+
+RestartHint Deployment::RecoveredRestartHint(uint32_t shard) const {
+  RestartHint hint;
+  if (shard < durability_.size()) {
+    hint.seq_floor = durability_[shard]->persisted_seq_floor();
     // The recovered store reflects everything executed below this frontier
     // (snapshot restore + log-tail replay), so the engine may resume there;
     // slots between it and the crash frontier are re-learned from peers and
     // deduplicated by the durable admit filter.
-    hints[s].exec_floor = durability_[s]->persisted_exec_floor();
+    hint.exec_floor = durability_[shard]->persisted_exec_floor();
   }
-  return hints;
+  return hint;
 }
 
 bool Deployment::AdmitDurable(uint32_t shard, const common::Dot& dot,

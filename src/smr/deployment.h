@@ -198,6 +198,9 @@ class Deployment {
   // Bind + OnStart, and should announce itself to peers for catch-up.
   bool HasRecoveredState() const { return recovered_; }
   std::vector<RestartHint> RecoveredRestartHints() const;
+  // One shard's entry of RecoveredRestartHints(). It reads only that shard's
+  // durability state, so a shard worker may call it while the others run.
+  RestartHint RecoveredRestartHint(uint32_t shard) const;
 
   // What a restarted replica advertises to peers: per-shard executed-dot
   // frontiers (encoded) plus reserved sequence floors, captured immutably at

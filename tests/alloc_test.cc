@@ -14,6 +14,7 @@
 #include "src/paxos/multipaxos.h"
 #include "src/rt/shard_runtime.h"
 #include "src/sim/simulator.h"
+#include "src/smr/decided_log.h"
 #include "src/smr/sharded_engine.h"
 
 namespace {
@@ -259,6 +260,28 @@ TEST(AllocTest, PayloadPoolRecyclesLargeValueBuffers) {
   uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_LE(allocs, 8u) << "pooled payload cycling allocated " << allocs
                         << " times for " << kRounds << " rounds";
+}
+
+// Pins the decided log behind Atlas/EPaxos recovery (src/smr/decided_log.h): once
+// the ring has wrapped at the engines' horizon, recording a decided value reuses
+// the evicted entry's ring slot, index slot and recycled chunk bytes.
+TEST(AllocTest, DecidedLogRecordAfterWrapIsAllocationFree) {
+  smr::DecidedLog log;
+  const smr::Command cmd = smr::MakePut(1, 1, "key42", std::string(100, 'v'));
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  uint64_t seq = 1;
+  for (; seq <= 2 * smr::kDecidedHorizon; seq++) {
+    log.Record(Dot{static_cast<ProcessId>(seq % 3), seq}, cmd, deps, seq);
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t kRecords = 1000;
+  for (uint64_t i = 0; i < kRecords; i++, seq++) {
+    log.Record(Dot{static_cast<ProcessId>(seq % 3), seq}, cmd, deps, seq);
+  }
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "decided-log records allocated " << allocs << " times for "
+                        << kRecords << " records";
+  EXPECT_EQ(log.size(), smr::kDecidedHorizon);
 }
 
 // Pins the kBatch encode-scratch reuse (ROADMAP known-allocation): flushing a

@@ -23,10 +23,6 @@
 // effect; on single-core CI runners parallelism contributes nothing and the
 // remaining speedup is round amortization alone.
 //
-// A second sweep re-runs P in {2, 4, 8} with executor_threads = 2 (the
-// parallel execution pipeline, src/exec/exec_pool.h) to record what the
-// ordering/execution split buys — or costs — end to end on this host.
-//
 // Emits BENCH_wallclock.json: per-point throughput + p50/p95/p99, plus the
 // acceptance ratios per protocol. Gates: P=8 strictly > P=2 (the inversion
 // gate — it holds everywhere), and P=8 vs P=1 ≥ 3x, which needs ≥ 4 real
@@ -65,7 +61,6 @@ struct PointSpec {
   smr::Protocol protocol = smr::Protocol::kAtlas;
   const char* proto_name = "atlas";
   uint32_t partitions = 1;
-  size_t executor_threads = 0;  // per-shard execution lanes (0 = inline apply)
   size_t window = 0;  // outstanding ops per client connection
   double warmup_sec = 1.0;
   double measure_sec = 4.0;
@@ -103,7 +98,6 @@ PointResult RunPoint(const PointSpec& spec) {
     // granularity and far below client-visible latency targets.
     d.batch_window = 1 * common::kMillisecond;
     d.threaded = true;
-    d.executor_threads = spec.executor_threads;
     std::vector<std::unique_ptr<smr::Deployment>> replicas;
     if (!spec.data_dir.empty()) {
       // Fresh subtree per attempt so a retried bind never recovers the state a
@@ -312,38 +306,6 @@ int main(int argc, char** argv) {
     json.Add(name, 0, 0, p8_vs_p1);
     std::snprintf(name, sizeof(name), "wallclock_%s_p8_vs_p2", proto.name);
     json.Add(name, 0, 0, p8_vs_p2);
-
-    // The executor column: same sweep points with 2 execution lanes per shard
-    // (smr::DeploymentOptions::executor_threads). On multi-core hosts this
-    // shows what moving state application off the shard worker buys end to
-    // end; on single-core hosts it measures the handoff overhead. Recorded,
-    // not gated — the pipeline's own gates live in fig_exec.
-    for (uint32_t partitions : {2u, 4u, 8u}) {
-      PointSpec spec;
-      spec.protocol = proto.protocol;
-      spec.proto_name = proto.name;
-      spec.partitions = partitions;
-      spec.executor_threads = 2;
-      spec.window = kWindowPerPartition * partitions;
-      spec.warmup_sec = warmup_sec;
-      spec.measure_sec = measure_sec;
-      spec.port_base = port_block;
-      port_block = static_cast<uint16_t>(port_block + 24);
-      PointResult r = RunPoint(spec);
-      all_ok = all_ok && r.ok;
-      double vs_base = tp[partitions] > 0 ? r.throughput / tp[partitions] : 0;
-      std::printf(
-          "%-8s  %u+E2  %6zu  %10.0f  %7.1fms  %7.1fms  %7.1fms  (%.2fx "
-          "inline-apply)\n",
-          proto.name, partitions, spec.window * kNodes, r.throughput, r.p50_ms,
-          r.p95_ms, r.p99_ms, vs_base);
-      std::snprintf(name, sizeof(name), "wallclock_%s_p%u_e2", proto.name,
-                    partitions);
-      json.Add(name, r.p50_ms * 1e6, 0, r.throughput);
-      std::snprintf(name, sizeof(name), "wallclock_%s_p%u_e2_vs_inline",
-                    proto.name, partitions);
-      json.Add(name, 0, 0, vs_base);
-    }
 
     // The durability column: the P=4 point again with the per-shard commit
     // log + snapshots on (batched fsync, the default). Records what

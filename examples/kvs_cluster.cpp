@@ -7,10 +7,6 @@
 //   $ ./build/kvs_cluster --partitions 4 --batch-window-ms 5 --batch-max 32
 //   $ ./build/kvs_cluster --partitions 4 --threads-per-node   # one worker thread
 //                                               # per shard behind SPSC mailboxes
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node --pin-cores
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node --executor-threads 2
-//                                               # + 2 execution lanes per shard
-//                                               # applying commands in parallel
 //   $ ./build/kvs_cluster --data-dir /tmp/kvs   # durable: per-shard commit log +
 //                                               # snapshots under <dir>/site-N/;
 //                                               # rerun with the same dir to
@@ -33,8 +29,6 @@ int main(int argc, char** argv) {
   uint64_t batch_window_ms = 0;
   size_t batch_max = 64;
   bool threaded = false;
-  bool pin_cores = false;
-  size_t executor_threads = 0;
   std::string data_dir;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
@@ -45,28 +39,15 @@ int main(int argc, char** argv) {
       batch_max = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--threads-per-node") == 0) {
       threaded = true;
-    } else if (std::strcmp(argv[i], "--pin-cores") == 0) {
-      pin_cores = true;
-    } else if (std::strcmp(argv[i], "--executor-threads") == 0 && i + 1 < argc) {
-      executor_threads = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--partitions N] [--batch-window-ms N] "
-                   "[--batch-max N] [--threads-per-node] [--pin-cores] "
-                   "[--executor-threads N] [--data-dir DIR]\n",
+                   "[--batch-max N] [--threads-per-node] [--data-dir DIR]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (pin_cores && !threaded) {
-    std::fprintf(stderr, "--pin-cores requires --threads-per-node\n");
-    return 2;
-  }
-  if (executor_threads > 0 && !threaded) {
-    std::fprintf(stderr, "--executor-threads requires --threads-per-node\n");
-    return 2;
   }
   if (partitions < 1 || partitions > smr::ShardedEngine::kMaxPartitions ||
       batch_max < 1) {
@@ -95,14 +76,9 @@ int main(int argc, char** argv) {
     d.batch_window = batch_window_ms * common::kMillisecond;
     d.batch_max = batch_max;
     // Threaded runtime: each shard's engine runs on its own worker thread
-    // behind SPSC mailboxes (--pin-cores additionally sets CPU affinity,
-    // shard s -> core s % ncores). Single-driver epoll loop otherwise.
+    // behind SPSC mailboxes, applying its executed commands inline.
+    // Single-driver epoll loop otherwise.
     d.threaded = threaded;
-    d.pin_cores = pin_cores;
-    // Parallel execution pipeline: each shard's store becomes a laned store
-    // and an executor pool applies non-conflicting commands concurrently
-    // (ordering stays on the shard worker; see src/exec/exec_pool.h).
-    d.executor_threads = executor_threads;
     if (!data_dir.empty()) {
       // Durable replicas: every executed command is logged (batched fsync)
       // under <data_dir>/site-N/shard-M/ and snapshots bound replay length.
@@ -118,12 +94,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("3 ATLAS replicas (P=%u%s", partitions,
-              threaded ? (pin_cores ? ", thread-per-shard, pinned"
-                                    : ", thread-per-shard")
-                       : "");
-  if (executor_threads > 0) {
-    std::printf(", %zu exec lanes/shard", executor_threads);
-  }
+              threaded ? ", thread-per-shard" : "");
   if (!data_dir.empty()) {
     std::printf(", durable in %s", data_dir.c_str());
   }

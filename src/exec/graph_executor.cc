@@ -11,11 +11,6 @@ GraphExecutor::GraphExecutor(BatchOrder order, ExecuteFn execute)
   CHECK(execute_ != nullptr);
 }
 
-GraphExecutor::GraphExecutor(BatchOrder order, ReadySink* sink)
-    : order_(order), sink_(sink) {
-  CHECK(sink_ != nullptr);
-}
-
 bool GraphExecutor::IsCommitted(const common::Dot& dot) const {
   return executed_.Contains(dot) || nodes_.Contains(dot);
 }
@@ -185,12 +180,7 @@ void GraphExecutor::RunBatch(common::Dot* begin, common::Dot* end) {
     const common::Dot& d = *cur;
     Node* node = nodes_.Find(d);
     CHECK(node != nullptr);
-    if (sink_ != nullptr) {
-      // The node is erased right below; the sink takes the command by move.
-      sink_->OnReady(d, std::move(node->cmd), node->seqno);
-    } else {
-      execute_(d, node->cmd);
-    }
+    execute_(d, node->cmd);
     executed_.Insert(d);
     executed_count_++;
     nodes_.Erase(d);

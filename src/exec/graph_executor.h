@@ -40,19 +40,7 @@ class GraphExecutor {
  public:
   using ExecuteFn = std::function<void(const common::Dot&, const smr::Command&)>;
 
-  // Ordering/execution split: a sink receives ready commands — still in the
-  // deterministic SCC/batch order — and owns what happens next (apply inline,
-  // or hand off to an executor pool, src/exec/exec_pool.h). The command is
-  // moved out: once emitted, the executor is done with it.
-  class ReadySink {
-   public:
-    virtual ~ReadySink() = default;
-    virtual void OnReady(const common::Dot& dot, smr::Command&& cmd,
-                         uint64_t seqno) = 0;
-  };
-
   GraphExecutor(BatchOrder order, ExecuteFn execute);
-  GraphExecutor(BatchOrder order, ReadySink* sink);
 
   // Delivers the final (consensus-agreed) command and dependencies for dot.
   // Idempotent: re-commits of the same dot are ignored (Integrity).
@@ -86,8 +74,7 @@ class GraphExecutor {
   void RunBatch(common::Dot* begin, common::Dot* end);
 
   BatchOrder order_;
-  ExecuteFn execute_;       // callback emission (engines)
-  ReadySink* sink_ = nullptr;  // sink emission (executor pools); exclusive
+  ExecuteFn execute_;
 
   // Committed-but-unexecuted nodes in an open-addressed flat map (src/common/
   // dot_map.h): the commit/execute hot path allocates no per-node hash buckets, and

@@ -4,7 +4,6 @@
 #define SRC_KVS_KVS_H_
 
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "src/smr/command.h"
@@ -29,22 +28,6 @@ class KvStore final : public smr::StateMachine {
 
   size_t size() const { return map_.size(); }
   const std::string* Lookup(const std::string& key) const;
-
-  // Single-key assignment, bypassing Command construction: the lane-partitioned
-  // store (src/exec/laned_store.h) decomposes multi-key writes per key and needs
-  // an allocation-free way to land one key's mutation on its lane.
-  void Put(const std::string& key, std::string_view value) {
-    map_[key].assign(value.data(), value.size());
-  }
-
-  // Lane primitives for the default cross-lane decomposition
-  // (smr::StateMachine::ApplyAcross).
-  const std::string* LookupKey(const std::string& key) const override {
-    return Lookup(key);
-  }
-  void PutKey(const std::string& key, std::string_view value) override {
-    Put(key, value);
-  }
 
  private:
   std::unordered_map<std::string, std::string> map_;

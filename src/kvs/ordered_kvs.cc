@@ -1,6 +1,5 @@
 #include "src/kvs/ordered_kvs.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -73,37 +72,6 @@ void OrderedKvs::AppendRange(const std::string& begin, const std::string& end,
   }
 }
 
-std::string OrderedKvs::ApplyAcross(const smr::Command& cmd,
-                                    smr::LanePartition& lanes) {
-  if (cmd.op != smr::Op::kRange) {
-    return StateMachine::ApplyAcross(cmd, lanes);
-  }
-  if (cmd.more_keys.empty()) {
-    return "";
-  }
-  // Every lane holds a disjoint slice of the key space (keys are hashed to
-  // lanes), so the global range is the key-ordered merge of per-lane ranges.
-  // Lanes are homogeneous by construction (one factory builds them all), so
-  // the downcast is safe.
-  std::vector<std::pair<const std::string*, const std::string*>> hits;
-  const std::string& end = cmd.more_keys[0];
-  for (uint32_t l = 0; l < lanes.lanes(); l++) {
-    const auto& lane = static_cast<const OrderedKvs&>(lanes.lane(l));
-    for (auto it = lane.map_.lower_bound(cmd.key);
-         it != lane.map_.end() && it->first < end; ++it) {
-      hits.emplace_back(&it->first, &it->second);
-    }
-  }
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::string out;
-  for (const auto& [k, v] : hits) {
-    (void)k;
-    out += *v;
-  }
-  return out;
-}
-
 uint64_t OrderedKvs::StateDigest() const {
   // Identical per-entry fold to KvStore::StateDigest (order-independent XOR).
   uint64_t digest = 0;
@@ -141,11 +109,6 @@ bool OrderedKvs::RestoreFrom(codec::Reader& r) {
     map_[std::move(k)] = std::move(v);
   }
   return true;
-}
-
-const std::string* OrderedKvs::LookupKey(const std::string& key) const {
-  auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
 }
 
 }  // namespace kvs

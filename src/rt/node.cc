@@ -164,7 +164,6 @@ Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
   CHECK(deployment_ != nullptr);
   if (deployment_->options().threaded) {
     ShardRuntime::Options ro;
-    ro.pin_cores = deployment_->options().pin_cores;
     ro.mailbox_capacity = deployment_->options().mailbox_capacity;
     shards_ = std::make_unique<ShardRuntime>(deployment_, ro);
     shards_->set_output_notify([this]() { out_bell_.Ring(); });

@@ -1,9 +1,6 @@
 #include "src/rt/shard_runtime.h"
 
-#include <pthread.h>
-#include <sched.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <thread>
@@ -11,8 +8,6 @@
 
 #include "src/codec/codec.h"
 #include "src/common/check.h"
-#include "src/exec/exec_pool.h"
-#include "src/exec/laned_store.h"
 
 namespace rt {
 
@@ -43,36 +38,6 @@ class ShardRuntime::Worker final : public smr::Context {
     // at P > 1 (P = 1 stays the unbatched seed configuration).
     batch_window_ = owner_->partitions_ > 1 ? d.batch_window : 0;
     batch_max_ = d.batch_max;
-    // Executor pool (ordering/execution split): the engine keeps emitting in
-    // deterministic order on this thread; state application fans out across
-    // the pool's commute lanes. Completions come back through Poll() in the
-    // main loop and turn into the same kReply outputs the inline path pushes.
-    exec::LanedStore* laned = owner_->deployment_->laned_store(shard_);
-    if (laned != nullptr && d.executor_threads > 0) {
-      exec::ExecPool::Options po;
-      po.lanes = static_cast<uint32_t>(d.executor_threads);
-      po.mailbox_capacity = std::min<size_t>(1024, owner_->opts_.mailbox_capacity);
-      po.on_completion = [this](uint64_t client, uint64_t seq,
-                                std::string&& value) {
-        ShardOutput out;
-        out.kind = ShardOutput::Kind::kReply;
-        out.client = client;
-        out.seq = seq;
-        out.value = std::move(value);
-        out.dropped = false;
-        PushOutput(out);
-      };
-      po.applied = [this](const smr::Command& sub) {
-        // Lane threads (and this thread, for cross-lane barriers): the same
-        // counters the inline path bumps, already atomic.
-        if (!sub.is_noop()) {
-          owner_->applied_ops_.fetch_add(1, std::memory_order_release);
-          owner_->deployment_->CountApplied(shard_, sub);
-        }
-      };
-      po.completion_notify = [this]() { bell_.Ring(); };
-      pool_ = std::make_unique<exec::ExecPool>(laned, std::move(po));
-    }
   }
 
   Mailbox<ShardInput>& inbox() { return inbox_; }
@@ -84,15 +49,6 @@ class ShardRuntime::Worker final : public smr::Context {
     self_id_ = self;
     n_ = n;
     thread_ = std::thread([this]() { ThreadMain(); });
-    if (owner_->opts_.pin_cores) {
-      long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-      if (ncpu > 0) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(static_cast<int>(shard_ % static_cast<uint32_t>(ncpu)), &set);
-        pthread_setaffinity_np(thread_.native_handle(), sizeof(set), &set);
-      }
-    }
   }
 
   void RequestStop() {
@@ -123,27 +79,9 @@ class ShardRuntime::Worker final : public smr::Context {
     PushTimer(Now() + delay, token, /*is_flush=*/false);
   }
 
-  exec::ExecPool* pool() { return pool_.get(); }
-
+  // Applies the command to the shard's store inline, on this thread, in the
+  // engine's emission order, before the worker takes its next input.
   void Executed(const common::Dot& dot, const smr::Command& cmd) override {
-    if (pool_ != nullptr) {
-      // Ordering/execution split: hand the (deterministically ordered) command
-      // to the executor pool. Counting and replies happen via the pool's
-      // applied/on_completion hooks instead of the inline lambda below. The
-      // durable admit (dedup + log append) stays on this thread, before the
-      // fan-out, so the log records the shard's emission order exactly.
-      if (!owner_->deployment_->AdmitDurable(shard_, dot, cmd)) {
-        return;
-      }
-      pool_->Execute(cmd, exec_scratch_);
-      if (owner_->deployment_->SnapshotDue(shard_)) {
-        // Snapshots need the store quiesced; WaitIdle drains every lane, so
-        // the blob reflects all admitted commands up to this point.
-        pool_->WaitIdle();
-        owner_->deployment_->WriteShardSnapshot(shard_);
-      }
-      return;
-    }
     owner_->deployment_->ApplyExecutedShard(
         shard_, dot, cmd, exec_scratch_,
         [this](uint32_t, const smr::Command& sub, std::string&& result) {
@@ -302,9 +240,6 @@ class ShardRuntime::Worker final : public smr::Context {
   void ThreadMain() {
     smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
     engine.Bind(self_id_, n_, this);
-    if (pool_ != nullptr) {
-      pool_->Start();
-    }
     engine.OnStart();
     if (owner_->deployment_->HasRecoveredState()) {
       // Seed the recovered floors after OnStart so protocol initialization
@@ -355,19 +290,13 @@ class ShardRuntime::Worker final : public smr::Context {
         }
         worked = true;
       }
-      // Executor completions back to the reply path (pool mode only).
-      if (pool_ != nullptr && pool_->Poll() > 0) {
-        worked = true;
-      }
       if (worked) {
         continue;
       }
       // Park until input arrives or the next timer is due. Arm-then-recheck
-      // closes the missed-wakeup window (see Doorbell). Executor lanes ring
-      // this same bell when completions land, so the recheck covers them too.
+      // closes the missed-wakeup window (see Doorbell).
       bell_.Arm();
-      if (!inbox_.Empty() || (pool_ != nullptr && pool_->HasCompletions()) ||
-          stop_.load(std::memory_order_acquire)) {
+      if (!inbox_.Empty() || stop_.load(std::memory_order_acquire)) {
         continue;
       }
       int64_t timeout_us = -1;
@@ -377,12 +306,6 @@ class ShardRuntime::Worker final : public smr::Context {
         timeout_us = next > cur ? static_cast<int64_t>(next - cur) : 0;
       }
       bell_.Wait(timeout_us);
-    }
-    if (pool_ != nullptr) {
-      // Quiesce the executor lanes before this worker dies: the store reaches
-      // its final (inline-equivalent) state, so digests read after Join are
-      // stable. Remaining completions drop with the node like queued replies.
-      pool_->Stop();
     }
   }
 
@@ -408,8 +331,6 @@ class ShardRuntime::Worker final : public smr::Context {
   codec::Writer batch_writer_;
   smr::PayloadPool batch_pool_;
   std::vector<smr::Command> exec_scratch_;
-  // Executor pool (nullptr when executor_threads == 0: inline execution).
-  std::unique_ptr<exec::ExecPool> pool_;
 };
 
 ShardRuntime::ShardRuntime(smr::Deployment* deployment, Options opts)
@@ -453,18 +374,6 @@ bool ShardRuntime::StopOne(uint32_t shard) {
   workers_[shard]->RequestStop();
   workers_[shard]->Join();
   return true;
-}
-
-bool ShardRuntime::StopOneExecutor(uint32_t shard, uint32_t lane) {
-  CHECK_LT(shard, partitions_);
-  if (!started_ || workers_[shard]->stopped()) {
-    return false;
-  }
-  exec::ExecPool* pool = workers_[shard]->pool();
-  if (pool == nullptr || lane >= pool->lanes()) {
-    return false;
-  }
-  return pool->StopOne(lane);
 }
 
 bool ShardRuntime::RouteMessage(common::ProcessId from, msg::Message& m) {

@@ -10,12 +10,9 @@
 //     routes them by the envelope's shard tag into per-shard inboxes without
 //     copying payloads, and batches outbound writes per socket across shards;
 //   * one worker thread per shard owns that shard's protocol engine, store
-//     slice, submission batching and timer wheel. Workers never touch a
-//     socket, a lock, or another shard's state;
-//   * with smr::DeploymentOptions::executor_threads > 0, a third tier hangs
-//     off each shard worker: an exec::ExecPool applying the shard's executed
-//     commands concurrently across commute lanes (ordering stays on the shard
-//     worker; only state application fans out — see src/exec/exec_pool.h).
+//     slice, submission batching and timer wheel, and applies the shard's
+//     executed commands inline, in the engine's emission order. Workers never
+//     touch a socket, a lock, or another shard's state.
 //
 // Edges between the tiers are bounded SPSC mailboxes (src/rt/mailbox.h): one
 // inbox per (I/O -> shard) and one outbox per (shard -> I/O). Cross-shard
@@ -96,7 +93,6 @@ class ShardOutputSink {
 class ShardRuntime {
  public:
   struct Options {
-    bool pin_cores = false;      // pin worker s to CPU s % ncpus
     size_t mailbox_capacity = 8192;  // slots per edge
   };
 
@@ -120,11 +116,6 @@ class ShardRuntime {
   // deadlock the node — its inbox fills and further input is dropped). Returns
   // false if already stopped.
   bool StopOne(uint32_t shard);
-  // Crash drill one level down: stops one executor lane of one shard's pool
-  // (deployment executor_threads > 0 only). The shard stays live; commands
-  // routed to the dead lane are lost, everything else keeps applying. Returns
-  // false when there is no pool, or the lane/shard is already stopped.
-  bool StopOneExecutor(uint32_t shard, uint32_t lane);
 
   // I/O-thread entry points. Both move their argument into a mailbox slot on
   // success; on a full inbox they leave it untouched and return false — the

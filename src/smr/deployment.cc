@@ -110,20 +110,9 @@ Deployment::Deployment(DeploymentOptions opts)
   }
   CHECK(engine_ != nullptr);
   for (uint32_t s = 0; s < opts_.partitions; s++) {
-    if (opts_.executor_threads > 0) {
-      // Parallel execution pipeline: lane-partitioned store per shard, with
-      // each lane an instance of the configured backend (kvs::KvStore by
-      // default) routed via StateMachine::LaneHint.
-      auto laned = std::make_unique<exec::LanedStore>(
-          static_cast<uint32_t>(opts_.executor_threads),
-          opts_.state_machine_factory);
-      laned_.push_back(laned.get());
-      stores_.push_back(std::move(laned));
-    } else {
-      stores_.push_back(opts_.state_machine_factory != nullptr
-                            ? opts_.state_machine_factory()
-                            : std::make_unique<kvs::KvStore>());
-    }
+    stores_.push_back(opts_.state_machine_factory != nullptr
+                          ? opts_.state_machine_factory()
+                          : std::make_unique<kvs::KvStore>());
     CHECK(stores_.back() != nullptr);
   }
   applied_counts_ = std::make_unique<std::atomic<uint64_t>[]>(opts_.partitions);

@@ -33,7 +33,6 @@
 #include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/dur/shard_durability.h"
-#include "src/exec/laned_store.h"
 #include "src/smr/command.h"
 #include "src/smr/conflict_index.h"
 #include "src/smr/engine.h"
@@ -93,23 +92,9 @@ struct DeploymentOptions {
   // single-threaded and byte-identical regardless of these). With `threaded`
   // set, each shard's engine runs on its own OS worker thread fed by bounded
   // SPSC mailboxes (src/rt/shard_runtime.h) instead of being multiplexed over
-  // the I/O thread. `pin_cores` additionally pins worker s to CPU s % ncpus.
+  // the I/O thread.
   bool threaded = false;
-  bool pin_cores = false;
   size_t mailbox_capacity = 8192;  // slots per (I/O <-> shard) mailbox edge
-
-  // Parallel execution pipeline (ordering/execution split): with
-  // executor_threads > 0 each shard's store becomes an exec::LanedStore with
-  // that many commute lanes, and the *threaded* runtime applies non-conflicting
-  // commands concurrently on a per-shard executor pool (src/exec/exec_pool.h).
-  // Single-threaded drivers (the simulator, the non-threaded runtime) honor the
-  // laned store but apply inline through it — a deterministic fallback with
-  // byte-identical state and digests at every thread count. 0 keeps plain
-  // per-shard stores and inline execution (byte-identical to the seed; the
-  // determinism pins rely on this). Composes with state_machine_factory: the
-  // laned store builds one backend instance per lane through the factory and
-  // routes via StateMachine::LaneHint.
-  size_t executor_threads = 0;
 
   // Persistence (src/dur): non-empty enables the per-shard commit log +
   // snapshot subsystem under <data_dir>/shard-N/. The Deployment constructor
@@ -147,27 +132,13 @@ class Deployment {
 
   // Per-shard service replica and its applied-command count (non-noop commands,
   // the per-shard executed_count used for digest comparability between replicas).
-  // The counts are atomics because executor-pool lanes bump them from their own
-  // threads (single-threaded drivers pay one relaxed add, nothing observable).
+  // The counts are atomics because other threads poll them while shard
+  // workers apply (tests wait for a replica to catch up this way); the apply
+  // path pays one release add.
   StateMachine& store(uint32_t shard = 0) { return *stores_[shard]; }
   const StateMachine& store(uint32_t shard = 0) const { return *stores_[shard]; }
   uint64_t applied_count(uint32_t shard = 0) const {
     return applied_counts_[shard].load(std::memory_order_acquire);
-  }
-
-  // The shard's store as a lane-partitioned store, or nullptr when
-  // executor_threads == 0 (plain store, inline execution). The threaded
-  // runtime hands this to the shard's exec::ExecPool.
-  exec::LanedStore* laned_store(uint32_t shard) const {
-    return laned_.empty() ? nullptr : laned_[shard];
-  }
-
-  // Post-apply accounting for executor pools, callable from lane threads:
-  // the inline Apply* paths below count through the same atomics.
-  void CountApplied(uint32_t shard, const Command& cmd) {
-    if (!cmd.is_noop()) {
-      applied_counts_[shard].fetch_add(1, std::memory_order_release);
-    }
   }
 
   // Engine stats: aggregate over the replica, and per partition. shard_engine
@@ -221,21 +192,6 @@ class Deployment {
   // Also refreshes the shard's reserved sequence floor off the live engine.
   bool AdmitDurable(uint32_t shard, const common::Dot& dot, const Command& cmd);
 
-  // Snapshot policy for drivers that must quiesce concurrent appliers first
-  // (the executor-pool worker calls WaitIdle, then WriteShardSnapshot). The
-  // inline apply paths below snapshot automatically.
-  bool SnapshotDue(uint32_t shard) const {
-    return durable() && durability_[shard]->SnapshotDue();
-  }
-  void WriteShardSnapshot(uint32_t shard) {
-    if (durable()) {
-      // restart_hint() is read from the shard's own apply path (the same
-      // thread that runs the engine), like the AdmitDurable floor refresh.
-      durability_[shard]->WriteSnapshot(*stores_[shard],
-                                       shard_engine(shard).restart_hint().exec_floor);
-    }
-  }
-
   // The shard's durability facade (catch-up streaming), or nullptr.
   dur::ShardDurability* durability(uint32_t shard) const {
     return durability_.empty() ? nullptr : durability_[shard].get();
@@ -261,7 +217,7 @@ class Deployment {
       for (const Command& sub : exec_scratch_) {
         ApplyOne(sub, fn);
       }
-      MaybeSnapshotInline(shard);
+      MaybeSnapshot(shard);
       return;
     }
     uint32_t shard = ShardOfCmd(cmd);
@@ -269,7 +225,7 @@ class Deployment {
       return;
     }
     ApplyOne(cmd, fn);
-    MaybeSnapshotInline(shard);
+    MaybeSnapshot(shard);
   }
 
   // Threaded-runtime variant of ApplyExecuted: applies a command executed by
@@ -278,8 +234,7 @@ class Deployment {
   // routing above are single-driver state). Every sub-command of a sharded
   // engine's command belongs to that shard by construction (the submission
   // path routed it there); noOps apply as no-ops on the shard's own store.
-  // applied_counts_[shard] is written by shard's worker alone — readers must
-  // synchronize via worker join (or use the runtime's atomic counters).
+  // applied_counts_[shard] is written by shard's worker alone.
   template <class Fn>
   void ApplyExecutedShard(uint32_t shard, const common::Dot& dot,
                           const Command& cmd, std::vector<Command>& scratch,
@@ -295,7 +250,7 @@ class Deployment {
     } else {
       ApplyOneShard(shard, cmd, fn);
     }
-    MaybeSnapshotInline(shard);
+    MaybeSnapshot(shard);
   }
 
   // Invokes fn(sub_command) for every client command a committed engine-level
@@ -330,9 +285,10 @@ class Deployment {
   }
 
  private:
-  // Inline-apply snapshot trigger: the caller just applied through the store
-  // on this thread, so no quiesce is needed.
-  void MaybeSnapshotInline(uint32_t shard) {
+  // Snapshot trigger after an apply. The store is only ever touched by the
+  // thread that runs the shard's engine, so restart_hint() is read on that
+  // thread too, like the AdmitDurable floor refresh.
+  void MaybeSnapshot(uint32_t shard) {
     if (durable() && durability_[shard]->SnapshotDue()) {
       durability_[shard]->WriteSnapshot(*stores_[shard],
                                        shard_engine(shard).restart_hint().exec_floor);
@@ -348,7 +304,9 @@ class Deployment {
   template <class Fn>
   void ApplyOneShard(uint32_t shard, const Command& cmd, Fn&& fn) {
     std::string result = stores_[shard]->Apply(cmd);
-    CountApplied(shard, cmd);
+    if (!cmd.is_noop()) {
+      applied_counts_[shard].fetch_add(1, std::memory_order_release);
+    }
     fn(shard, cmd, std::move(result));
   }
 
@@ -357,8 +315,6 @@ class Deployment {
   std::unique_ptr<Engine> engine_;
   ShardedEngine* sharded_ = nullptr;  // engine_ downcast when partitions > 1
   std::vector<std::unique_ptr<StateMachine>> stores_;
-  // stores_ downcasts when executor_threads > 0 (empty otherwise).
-  std::vector<exec::LanedStore*> laned_;
   std::unique_ptr<std::atomic<uint64_t>[]> applied_counts_;
   std::vector<Command> exec_scratch_;    // kBatch unpack reuse (execute path)
   std::vector<Command> commit_scratch_;  // ... commit-notification path

@@ -2,10 +2,9 @@
 //
 // A command's value travels far: it is stored in per-command protocol state
 // (Atlas/EPaxos Info), copied into every fan-out message, parked in executor
-// graph nodes, moved through mailbox slots, and — with the executor pool —
-// copied once more from the ordering thread to an apply lane. With a plain
-// std::string every one of those copies heap-allocates for values above the
-// small-string optimization. Payload keeps small values in an SSO std::string
+// graph nodes, and moved through mailbox slots. With a plain std::string
+// every one of those copies heap-allocates for values above the small-string
+// optimization. Payload keeps small values in an SSO std::string
 // (byte-for-byte the old behaviour, zero overhead) and moves larger values
 // into an intrusively refcounted buffer, so copying a big payload is one
 // atomic increment instead of an allocation + memcpy.

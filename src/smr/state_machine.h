@@ -1,41 +1,18 @@
-// The deterministic state machine interface (§2 of the paper), plus the two
-// seams deployments compose through:
-//
-//   * snapshots — SnapshotTo/RestoreFrom serialize the full state through the
-//     codec, so the durability tier (src/dur) can persist and recover any
-//     backend without knowing its representation;
-//   * commute decomposition — LaneHint/ApplyAcross let the parallel execution
-//     pipeline (src/exec) partition a backend's key space into commute lanes
-//     without hard-wiring a concrete store type. The backend owns the
-//     semantics (which commands stay single-lane, how a cross-lane command
-//     decomposes); the executor owns the threads.
+// The deterministic state machine interface (§2 of the paper), plus the
+// snapshot seam: SnapshotTo/RestoreFrom serialize the full state through the
+// codec, so the durability tier (src/dur) can persist and recover any backend
+// without knowing its representation. Replicas apply committed commands one at
+// a time, inline on the thread that runs the shard's engine.
 #ifndef SRC_SMR_STATE_MACHINE_H_
 #define SRC_SMR_STATE_MACHINE_H_
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "src/codec/codec.h"
 #include "src/smr/command.h"
 
 namespace smr {
-
-// Returned by StateMachine::LaneHint for commands whose keys span lanes (or
-// whose footprint — e.g. a kRange — cannot be pinned to one lane at all).
-constexpr uint32_t kCrossLane = 0xffffffffu;
-
-// A stable partition of the key space into lanes. Implemented by
-// exec::LanedStore; passed to LaneHint so the backend can route without
-// depending on the executor layer.
-class LaneRouter {
- public:
-  virtual ~LaneRouter() = default;
-  virtual uint32_t lanes() const = 0;
-  virtual uint32_t LaneOfKey(std::string_view key) const = 0;
-};
-
-class LanePartition;
 
 class StateMachine {
  public:
@@ -46,47 +23,16 @@ class StateMachine {
 
   // A digest of the current state; replicas that executed the same command sequence
   // (modulo commutations) must produce equal digests. Used by the convergence checker.
-  // Backends intended for lane partitioning must keep this XOR-decomposable
-  // (digest of the whole == XOR of the lane digests).
   virtual uint64_t StateDigest() const = 0;
 
   // Serializes the complete state. The encoding must be self-delimiting (a
   // RestoreFrom on the same reader position consumes exactly what SnapshotTo
-  // wrote), so snapshots of composite stores concatenate lane blobs.
+  // wrote), so a snapshot can sit inside a larger envelope.
   virtual void SnapshotTo(codec::Writer& w) const = 0;
   // Rebuilds state from a snapshot, replacing current contents. Returns false
   // (state unspecified) on malformed input — callers treat that as a corrupt
   // snapshot and fall back to log replay from genesis.
   virtual bool RestoreFrom(codec::Reader& r) = 0;
-
-  // Commute-decomposition hook: the lane all of cmd's keys map to under
-  // `router`, or kCrossLane. The default pins single-key commands to their
-  // key's lane, multi-key commands to the common lane when one exists, and
-  // declares kRange cross-lane (its footprint is an interval, not a key set).
-  // Callers handle noOps and kBatch composites before routing.
-  virtual uint32_t LaneHint(const Command& cmd, const LaneRouter& router) const;
-
-  // Applies a command whose LaneHint was kCrossLane against a lane partition
-  // of sibling backends (every lane the same concrete type as *this). The
-  // caller has quiesced all lanes. The default decomposes kScan (gather in
-  // command key order) and kMPut (scatter per key) through LookupKey/PutKey,
-  // and routes anything else to the primary key's lane — exactly the flat
-  // store's semantics. Note: dispatched on the backend type, but must only
-  // touch state through `lanes` (the receiver is just the routing prototype).
-  virtual std::string ApplyAcross(const Command& cmd, LanePartition& lanes);
-
-  // Point read/write primitives the default ApplyAcross decomposition uses.
-  // Backends that rely on the default must override both; the base versions
-  // are inert (lookup misses, writes vanish).
-  virtual const std::string* LookupKey(const std::string& key) const;
-  virtual void PutKey(const std::string& key, std::string_view value);
-};
-
-// A LaneRouter that also exposes the per-lane backends; what ApplyAcross
-// decomposes against.
-class LanePartition : public LaneRouter {
- public:
-  virtual StateMachine& lane(uint32_t lane) = 0;
 };
 
 }  // namespace smr

@@ -374,7 +374,7 @@ TEST(ShardDurabilityTest, SeqFloorReservationSurvivesRestart) {
 // over its data_dir and expects byte-equal per-shard digests with no traffic.
 void ExpectDeploymentRestartFromDisk(
     std::function<std::unique_ptr<smr::StateMachine>()> factory,
-    const std::string& tag, size_t executor_threads = 0) {
+    const std::string& tag) {
   TempDir dir(tag);
   constexpr uint32_t kNodes = 3;
   constexpr uint32_t kPartitions = 2;
@@ -384,7 +384,6 @@ void ExpectDeploymentRestartFromDisk(
     d.f = 1;
     d.partitions = kPartitions;
     d.state_machine_factory = factory;
-    d.executor_threads = executor_threads;
     d.data_dir = dir.path + "/site-" + std::to_string(site);
     d.snapshot_every = 16;  // small: exercise snapshot + tail, not just replay
     d.fsync_mode = FsyncMode::kNone;
@@ -455,15 +454,6 @@ TEST(DeploymentDurabilityTest, KvStoreRestartFromDiskMatchesLiveState) {
 TEST(DeploymentDurabilityTest, OrderedKvsRestartFromDiskMatchesLiveState) {
   ExpectDeploymentRestartFromDisk(
       []() { return std::make_unique<kvs::OrderedKvs>(); }, "dep_okv");
-}
-
-TEST(DeploymentDurabilityTest, LanedStoreComposesWithFactoryAndRecovers) {
-  // The redesigned seam: executor lanes + a non-default backend + persistence,
-  // all at once (the old deployment CHECK-failed on the first combination).
-  // The simulator drives the laned store inline, so the digest pin holds.
-  ExpectDeploymentRestartFromDisk(
-      []() { return std::make_unique<kvs::OrderedKvs>(); }, "dep_laned",
-      /*executor_threads=*/2);
 }
 
 // ---------------------------------------------------------------------------

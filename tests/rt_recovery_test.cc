@@ -3,7 +3,7 @@
 // The drills are parameterized from the PR-4 fault scenario packs
 // (kill_one_replica, rolling_restarts): each pack's crash schedule is replayed
 // against a 3-node loopback cluster running thread-per-shard deployments with
-// P=4 shards, 2 executor lanes and a data_dir per node. A victim node is torn
+// P=4 shards and a data_dir per node. A victim node is torn
 // down completely (node + deployment destroyed — process-death equivalent; the
 // commit log's torn-tail handling is pinned separately in durability_test),
 // traffic continues on the survivors, and the victim restarts from its
@@ -41,7 +41,6 @@ namespace fs = std::filesystem;
 
 constexpr uint32_t kNodes = 3;
 constexpr uint32_t kPartitions = 4;
-constexpr size_t kExecutorLanes = 2;
 constexpr uint64_t kClients = 4;
 // Folds a pack's victim_rank into a concrete node id (the sim campaign folds
 // the seed the same way); 2 makes the first victim the highest id, so the
@@ -72,7 +71,6 @@ smr::DeploymentOptions MakeOptions(smr::Protocol protocol,
   d.f = 1;
   d.partitions = kPartitions;
   d.threaded = true;
-  d.executor_threads = kExecutorLanes;
   d.data_dir = data_dir + "/site-" + std::to_string(site);
   d.snapshot_every = 32;  // small: restarts recover snapshot + tail, not just log
   d.fsync_mode = dur::FsyncMode::kNone;  // survives process death, which is

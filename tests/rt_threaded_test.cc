@@ -4,7 +4,8 @@
 // The threaded I/O tier must be a pure transport change: the same fixed
 // command script produces byte-identical per-(node, shard) store digests and
 // applied counts as (a) the single-driver TCP runtime and (b) the
-// discrete-event simulator driving the same Deployment assembly. Each client
+// discrete-event simulator driving the same Deployment assembly, for Atlas,
+// EPaxos and Mencius. Each client
 // owns a disjoint key set and blocks on every call, so the per-key apply order
 // is the client's program order in every run — which is what makes the
 // cross-driver digest comparison exact even for order-sensitive kRmw.
@@ -37,9 +38,10 @@ constexpr uint32_t kPartitions = 4;
 constexpr uint64_t kClients = 4;
 constexpr uint64_t kOpsPerClient = 20;
 
-smr::DeploymentOptions MakeOptions(common::Duration batch_window, bool threaded) {
+smr::DeploymentOptions MakeOptions(smr::Protocol protocol,
+                                   common::Duration batch_window, bool threaded) {
   smr::DeploymentOptions d;
-  d.protocol = smr::Protocol::kAtlas;
+  d.protocol = protocol;
   d.n = kNodes;
   d.f = 1;
   d.partitions = kPartitions;
@@ -65,7 +67,7 @@ struct ShardState {
 
 // The identical script on the discrete-event simulator through the same
 // Deployment assembly (single-threaded by construction).
-ShardState SimulatorReference() {
+ShardState SimulatorReference(smr::Protocol protocol) {
   sim::Simulator::Options opts;
   opts.seed = 7;
   sim::Simulator sim(std::make_unique<sim::UniformLatency>(5 * common::kMillisecond,
@@ -74,7 +76,8 @@ ShardState SimulatorReference() {
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < kNodes; i++) {
     replicas.push_back(
-        std::make_unique<smr::Deployment>(MakeOptions(0, /*threaded=*/false)));
+        std::make_unique<smr::Deployment>(
+            MakeOptions(protocol, 0, /*threaded=*/false)));
     sim.AddEngine(&replicas[i]->engine());
   }
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
@@ -102,8 +105,8 @@ ShardState SimulatorReference() {
 
 // Brings up a 3-node loopback cluster (threaded or single-driver), drives the
 // script through blocking clients, drains, and returns per-(node, shard) state.
-void RunTcpCluster(common::Duration batch_window, bool threaded, uint16_t port_base,
-                   ShardState* out) {
+void RunTcpCluster(smr::Protocol protocol, common::Duration batch_window,
+                   bool threaded, uint16_t port_base, ShardState* out) {
   for (int attempt = 0; attempt < 5; attempt++) {
     uint16_t base =
         static_cast<uint16_t>(port_base + attempt * 16 + (getpid() % 512));
@@ -115,8 +118,8 @@ void RunTcpCluster(common::Duration batch_window, bool threaded, uint16_t port_b
     std::vector<std::unique_ptr<Node>> nodes;
     bool bind_ok = true;
     for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(
-          std::make_unique<smr::Deployment>(MakeOptions(batch_window, threaded)));
+      replicas.push_back(std::make_unique<smr::Deployment>(
+          MakeOptions(protocol, batch_window, threaded)));
       nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
       if (!nodes.back()->Listen()) {
         bind_ok = false;
@@ -213,18 +216,22 @@ void ExpectConvergedAndMatching(const ShardState& got, const ShardState& ref) {
   EXPECT_EQ(got.counts, ref.counts);
 }
 
-// The tentpole parity gate: threaded TCP == single-driver TCP == simulator,
-// per (node, shard), digests and counts.
-TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
-  ShardState ref = SimulatorReference();
+// The parity gate: threaded TCP == single-driver TCP == simulator, per
+// (node, shard), digests and counts.
+void ExpectThreadedMatchesSingleDriverAndSimulator(smr::Protocol protocol,
+                                                   uint16_t port_base) {
+  SCOPED_TRACE(smr::ProtocolName(protocol));
+  ShardState ref = SimulatorReference(protocol);
   ShardState single;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/false, 45000, &single);
-  if (HasFatalFailure()) {
+  RunTcpCluster(protocol, /*batch_window=*/0, /*threaded=*/false, port_base,
+                &single);
+  if (::testing::Test::HasFatalFailure()) {
     return;
   }
   ShardState threaded;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/true, 45200, &threaded);
-  if (HasFatalFailure()) {
+  RunTcpCluster(protocol, /*batch_window=*/0, /*threaded=*/true,
+                static_cast<uint16_t>(port_base + 200), &threaded);
+  if (::testing::Test::HasFatalFailure()) {
     return;
   }
   ExpectConvergedAndMatching(single, ref);
@@ -233,13 +240,19 @@ TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
   EXPECT_EQ(threaded.counts, single.counts);
 }
 
+TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
+  ExpectThreadedMatchesSingleDriverAndSimulator(smr::Protocol::kAtlas, 45000);
+  ExpectThreadedMatchesSingleDriverAndSimulator(smr::Protocol::kEPaxos, 47000);
+  ExpectThreadedMatchesSingleDriverAndSimulator(smr::Protocol::kMencius, 49000);
+}
+
 // Worker-local submission batching (the flush timer lives in the worker's own
 // timer wheel, not the I/O loop) must not change the final replicated state.
 TEST(RtThreadedTest, ThreadedBatchedSubmissionConvergesToSameState) {
-  ShardState ref = SimulatorReference();
+  ShardState ref = SimulatorReference(smr::Protocol::kAtlas);
   ShardState threaded;
-  RunTcpCluster(/*batch_window=*/2 * common::kMillisecond, /*threaded=*/true,
-                45400, &threaded);
+  RunTcpCluster(smr::Protocol::kAtlas, /*batch_window=*/2 * common::kMillisecond,
+                /*threaded=*/true, 45400, &threaded);
   if (HasFatalFailure()) {
     return;
   }
@@ -262,7 +275,8 @@ TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
     bool bind_ok = true;
     for (uint32_t i = 0; i < kNodes; i++) {
       replicas.push_back(
-          std::make_unique<smr::Deployment>(MakeOptions(0, /*threaded=*/true)));
+          std::make_unique<smr::Deployment>(
+              MakeOptions(smr::Protocol::kAtlas, 0, /*threaded=*/true)));
       nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
       if (!nodes.back()->Listen()) {
         bind_ok = false;

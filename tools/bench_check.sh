@@ -6,7 +6,7 @@
 # raw wall-clock ones:
 #
 #   * ratio-class (names matching _vs_ / speedup / parity / balance): shard
-#     speedups come from deterministic simulated time and the exec/wallclock
+#     speedups come from deterministic simulated time and the wallclock
 #     ratios divide out the host, so they are comparable across machines.
 #     These FAIL when they drop more than the tolerance below the checked-in
 #     baseline, and additionally must clear the ROADMAP floors hard-coded
@@ -83,23 +83,6 @@ floor_check BENCH_shard.json shard_sweep_speedup_p4_vs_p1 items_per_sec \
   "$(slack 1.5)" "fig_shard P=4 vs P=1 speedup"
 floor_check BENCH_shard.json shard_sweep_speedup_p8_vs_p2 items_per_sec \
   "$(slack 1.0)" "fig_shard P=8 vs P=2 speedup"
-if [ -f "$CUR/BENCH_exec.json" ]; then
-  floor_check BENCH_exec.json exec_digest_parity items_per_sec 1 \
-    "fig_exec digest parity"
-  # The exec gate is core-count dependent (see bench/fig_exec.cc): >= 2x on
-  # parallel hardware, >= 0.5x (handoff-and-timeslice overhead bound) when lanes time-slice
-  # one core. The JSON records which regime produced it.
-  cores=$(jget "$CUR/BENCH_exec.json" exec_host_cores items_per_sec)
-  if [ -n "$cores" ] && cmp_ge "$cores" 4; then
-    exec_floor=$(slack 2.0)
-  else
-    exec_floor=$(slack 0.5)
-  fi
-  floor_check BENCH_exec.json exec_low_e4_vs_inline items_per_sec \
-    "$exec_floor" "fig_exec low-conflict E=4 vs inline (cores=${cores:-?})"
-else
-  warn "BENCH_exec.json missing from $CUR (exec floors not checked)"
-fi
 if [ -f "$CUR/BENCH_wallclock.json" ]; then
   for proto in atlas epaxos mencius; do
     floor_check BENCH_wallclock.json "wallclock_${proto}_p8_vs_p2" \
@@ -123,7 +106,7 @@ fi
 
 # --- baseline diff ---------------------------------------------------------
 echo "== bench_check: baseline diff vs $BASE =="
-for tag in micro shard exec; do
+for tag in micro shard; do
   cf=$CUR/BENCH_$tag.json
   bf=$BASE/BENCH_$tag.json
   [ -f "$cf" ] || { warn "BENCH_$tag.json missing from $CUR"; continue; }
@@ -148,12 +131,6 @@ for tag in micro shard exec; do
       fi
       [ "$bad" = 1 ] || continue
       case "$row" in
-        exec_low_e4_vs_inline)
-          # Core-regime dependent (>=2x on parallel hardware, overhead-bound
-          # when lanes time-slice): floor-checked above with the recorded core
-          # count; diffing it against a baseline from a different host class
-          # would flake, so it only warns here.
-          echo "warnrow $tag/$row $field: $c vs baseline $b (core-regime dependent; floor-gated above)" ;;
         *_vs_*|*speedup*|*parity*|*balance*)
           echo "FAILROW $tag/$row $field: $c vs baseline $b" ;;
         *cores*) ;;  # provenance, not a metric

@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: dependency-set
-// algebra, codec, conflict index, the graph executor, the simulator deliver path, and
-// Zipfian sampling. Results are mirrored to BENCH_micro.json (see bench_json.h).
+// algebra, codec, conflict index, the graph executor, the simulator deliver path,
+// Zipfian sampling, and the threaded runtime's fixed costs (shard runtime set-up and
+// the mailbox hop). Results are mirrored to BENCH_micro.json (see bench_json.h).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "bench/bench_json.h"
 #include "src/codec/codec.h"
@@ -11,8 +14,11 @@
 #include "src/common/rng.h"
 #include "src/exec/graph_executor.h"
 #include "src/msg/message.h"
+#include "src/rt/mailbox.h"
+#include "src/rt/shard_runtime.h"
 #include "src/sim/simulator.h"
 #include "src/smr/conflict_index.h"
+#include "src/smr/deployment.h"
 
 namespace {
 
@@ -173,6 +179,57 @@ void BM_Zipf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Zipf);
+
+// Per-shard set-up of the threaded runtime: a P=4 ShardRuntime (four workers'
+// inbox/outbox pairs, batch scratch) built and torn down over an unstarted
+// deployment. Workers are never spawned, so this is the construction cost a
+// node pays before it serves its first command.
+void BM_ShardRuntimeConstruct(benchmark::State& state) {
+  smr::DeploymentOptions d;
+  d.partitions = 4;
+  d.threaded = true;
+  smr::Deployment deployment(d);
+  for (auto _ : state) {
+    rt::ShardRuntime runtime(&deployment);
+    benchmark::DoNotOptimize(runtime.partitions());
+  }
+}
+BENCHMARK(BM_ShardRuntimeConstruct)->Unit(benchmark::kMicrosecond);
+
+// The mailbox hop: one ShardInput (an MCommit envelope, as the I/O thread
+// routes) crosses an SPSC edge to a second thread and returns on another.
+// One iteration is a round trip, i.e. two hops; items/s counts hops.
+void BM_MailboxHop(benchmark::State& state) {
+  rt::Mailbox<rt::ShardInput> to_worker(rt::kMailboxCapacity);
+  rt::Mailbox<rt::ShardInput> to_io(rt::kMailboxCapacity);
+  std::atomic<bool> stop{false};
+  std::thread worker([&]() {
+    rt::ShardInput in;
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (to_worker.TryPop(in)) {
+        while (!to_io.TryPush(in)) {
+        }
+      }
+    }
+  });
+  msg::MCommit m;
+  m.cmd = smr::MakePut(1, 1, "key42", "value");
+  m.dot = Dot{0, 1};
+  m.deps = DepSet{Dot{0, 1}};
+  rt::ShardInput item;
+  item.kind = rt::ShardInput::Kind::kMessage;
+  item.m = msg::Message{std::move(m)};
+  for (auto _ : state) {
+    while (!to_worker.TryPush(item)) {
+    }
+    while (!to_io.TryPop(item)) {
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  worker.join();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_MailboxHop);
 
 }  // namespace
 

@@ -111,12 +111,18 @@ class Connection {
     }
   }
 
+  // A short read means the socket is drained: stop there rather than pay one
+  // more read() for EAGAIN. The fd is watched level-triggered, so epoll
+  // reports it again when more data or EOF arrives.
   void ReadAll() {
     uint8_t buf[16 * 1024];
     while (true) {
       ssize_t n = read(fd_, buf, sizeof(buf));
       if (n > 0) {
         in_.insert(in_.end(), buf, buf + n);
+        if (static_cast<size_t>(n) < sizeof(buf)) {
+          break;
+        }
       } else if (n == 0) {
         closed_ = true;
         break;
@@ -163,9 +169,7 @@ Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
   CHECK_LT(self_, peers_.size());
   CHECK(deployment_ != nullptr);
   if (deployment_->options().threaded) {
-    ShardRuntime::Options ro;
-    ro.mailbox_capacity = deployment_->options().mailbox_capacity;
-    shards_ = std::make_unique<ShardRuntime>(deployment_, ro);
+    shards_ = std::make_unique<ShardRuntime>(deployment_);
     shards_->set_output_notify([this]() { out_bell_.Ring(); });
     loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
     out_bell_.Arm();

@@ -31,8 +31,8 @@ class ShardRuntime::Worker final : public smr::Context {
   Worker(ShardRuntime* owner, uint32_t shard)
       : owner_(owner),
         shard_(shard),
-        inbox_(owner->opts_.mailbox_capacity),
-        outbox_(owner->opts_.mailbox_capacity) {
+        inbox_(kMailboxCapacity),
+        outbox_(kMailboxCapacity) {
     const smr::DeploymentOptions& d = owner_->deployment_->options();
     // Submission batching mirrors the sharded single-driver path: enabled only
     // at P > 1 (P = 1 stays the unbatched seed configuration).
@@ -333,12 +333,9 @@ class ShardRuntime::Worker final : public smr::Context {
   std::vector<smr::Command> exec_scratch_;
 };
 
-ShardRuntime::ShardRuntime(smr::Deployment* deployment, Options opts)
-    : deployment_(deployment),
-      opts_(opts),
-      partitions_(deployment->partitions()) {
+ShardRuntime::ShardRuntime(smr::Deployment* deployment)
+    : deployment_(deployment), partitions_(deployment->partitions()) {
   CHECK(deployment_ != nullptr);
-  CHECK_GE(opts_.mailbox_capacity, 2u);
   for (uint32_t s = 0; s < partitions_; s++) {
     workers_.push_back(std::make_unique<Worker>(this, s));
   }

@@ -15,7 +15,10 @@
 //     touch a socket, a lock, or another shard's state.
 //
 // Edges between the tiers are bounded SPSC mailboxes (src/rt/mailbox.h): one
-// inbox per (I/O -> shard) and one outbox per (shard -> I/O). Cross-shard
+// inbox per (I/O -> shard) and one outbox per (shard -> I/O), each bounded at
+// kMailboxCapacity items. Mailbox storage grows in blocks up to that bound,
+// allocating only when an edge reaches a new occupancy high, so a shard's
+// set-up and resident memory follow its real queue depth. Cross-shard
 // edges are not instantiated — shard engines share no keys and never talk to
 // each other (cross-shard commands are the ROADMAP's next gap; they would add
 // (shard -> shard) mailboxes to this same topology). Idle workers park on an
@@ -44,9 +47,10 @@
 
 namespace rt {
 
-// One item on an (I/O -> shard) inbox edge. Slots are resident in the mailbox
-// ring; pushing moves the decoded message/command in, so slot string capacity
-// is recycled across messages (no per-message heap allocation once warm).
+// One item on an (I/O -> shard) inbox edge. Slots are resident in the mailbox's
+// blocks; pushing moves the decoded message/command in, so slot string
+// capacity is recycled across messages (no per-message heap allocation once a
+// depth has been reached).
 struct ShardInput {
   enum class Kind : uint8_t {
     kNone,
@@ -90,16 +94,17 @@ class ShardOutputSink {
   virtual void OnCatchupFrame(common::ProcessId to, std::string&& payload) {}
 };
 
+// Items each inbox and outbox edge holds before it pushes back. The bound
+// only decides when backpressure and drops start: mailbox storage grows with
+// occupancy, so an edge that never gets deep never pays for these slots.
+inline constexpr size_t kMailboxCapacity = 8192;
+
 class ShardRuntime {
  public:
-  struct Options {
-    size_t mailbox_capacity = 8192;  // slots per edge
-  };
-
   // The deployment is borrowed and must outlive the runtime. Its per-shard
   // engines/stores are owned by the workers between Start() and Stop(): no
   // other thread may touch them (including stats()) until the workers join.
-  ShardRuntime(smr::Deployment* deployment, Options opts);
+  explicit ShardRuntime(smr::Deployment* deployment);
   ~ShardRuntime();
 
   // `fn` is invoked from worker threads whenever output lands in an empty
@@ -158,7 +163,6 @@ class ShardRuntime {
   class Worker;
 
   smr::Deployment* deployment_;
-  Options opts_;
   uint32_t partitions_;
   std::function<void()> output_notify_;
   std::vector<std::unique_ptr<Worker>> workers_;

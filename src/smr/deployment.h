@@ -94,7 +94,6 @@ struct DeploymentOptions {
   // SPSC mailboxes (src/rt/shard_runtime.h) instead of being multiplexed over
   // the I/O thread.
   bool threaded = false;
-  size_t mailbox_capacity = 8192;  // slots per (I/O <-> shard) mailbox edge
 
   // Persistence (src/dur): non-empty enables the per-shard commit log +
   // snapshot subsystem under <data_dir>/shard-N/. The Deployment constructor

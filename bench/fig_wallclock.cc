@@ -1,10 +1,10 @@
 // Closed-loop wall-clock benchmark over loopback TCP (thread-per-shard runtime).
 //
 // Real sockets, real threads, real time — the wall-clock counterpart to the
-// deterministic simulated sweeps: 3 replicas on 127.0.0.1 running the threaded
-// runtime (smr::DeploymentOptions::threaded — P worker threads per node behind
-// SPSC mailboxes), swept over P ∈ {1, 2, 4, 8} × protocol {atlas, epaxos,
-// mencius}. The workload shape follows FoundationDB's Throughput-style
+// deterministic simulated sweeps: 3 replicas on 127.0.0.1 running the
+// thread-per-shard runtime (P worker threads per node behind SPSC mailboxes),
+// swept over P ∈ {1, 2, 4, 8} × protocol {atlas, epaxos, mencius}. The
+// workload shape follows FoundationDB's Throughput-style
 // closed-loop clients: one pipelined client per node with a fixed window of
 // outstanding 100-byte puts over private keys (closed loop with concurrency W,
 // not open-loop arrivals — a reply immediately funds the next request).
@@ -97,7 +97,6 @@ PointResult RunPoint(const PointSpec& spec) {
     // submission batch once per window. 1ms is far above the doorbell's poll
     // granularity and far below client-visible latency targets.
     d.batch_window = 1 * common::kMillisecond;
-    d.threaded = true;
     std::vector<std::unique_ptr<smr::Deployment>> replicas;
     if (!spec.data_dir.empty()) {
       // Fresh subtree per attempt so a retried bind never recovers the state a

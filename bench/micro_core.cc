@@ -187,7 +187,6 @@ BENCHMARK(BM_Zipf);
 void BM_ShardRuntimeConstruct(benchmark::State& state) {
   smr::DeploymentOptions d;
   d.partitions = 4;
-  d.threaded = true;
   smr::Deployment deployment(d);
   for (auto _ : state) {
     rt::ShardRuntime runtime(&deployment);

@@ -2,11 +2,10 @@
 // exercised by a client issuing reads and writes — the same replica assembly
 // (smr::Deployment) that the simulator harness drives, run by the epoll runtime.
 //
-//   $ ./build/kvs_cluster                       # classic single-engine replicas
-//   $ ./build/kvs_cluster --partitions 4        # 4 engines per node, key-space sharded
+//   $ ./build/kvs_cluster                       # one engine (and worker) per node
+//   $ ./build/kvs_cluster --partitions 4        # 4 engines per node, key-space sharded,
+//                                               # one worker thread per shard
 //   $ ./build/kvs_cluster --partitions 4 --batch-window-ms 5 --batch-max 32
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node   # one worker thread
-//                                               # per shard behind SPSC mailboxes
 //   $ ./build/kvs_cluster --data-dir /tmp/kvs   # durable: per-shard commit log +
 //                                               # snapshots under <dir>/site-N/;
 //                                               # rerun with the same dir to
@@ -28,7 +27,6 @@ int main(int argc, char** argv) {
   uint32_t partitions = 1;
   uint64_t batch_window_ms = 0;
   size_t batch_max = 64;
-  bool threaded = false;
   std::string data_dir;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
@@ -37,14 +35,12 @@ int main(int argc, char** argv) {
       batch_window_ms = static_cast<uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--batch-max") == 0 && i + 1 < argc) {
       batch_max = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads-per-node") == 0) {
-      threaded = true;
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--partitions N] [--batch-window-ms N] "
-                   "[--batch-max N] [--threads-per-node] [--data-dir DIR]\n",
+                   "[--batch-max N] [--data-dir DIR]\n",
                    argv[0]);
       return 2;
     }
@@ -75,10 +71,6 @@ int main(int argc, char** argv) {
     d.partitions = partitions;
     d.batch_window = batch_window_ms * common::kMillisecond;
     d.batch_max = batch_max;
-    // Threaded runtime: each shard's engine runs on its own worker thread
-    // behind SPSC mailboxes, applying its executed commands inline.
-    // Single-driver epoll loop otherwise.
-    d.threaded = threaded;
     if (!data_dir.empty()) {
       // Durable replicas: every executed command is logged (batched fsync)
       // under <data_dir>/site-N/shard-M/ and snapshots bound replay length.
@@ -93,8 +85,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("3 ATLAS replicas (P=%u%s", partitions,
-              threaded ? ", thread-per-shard" : "");
+  std::printf("3 ATLAS replicas (P=%u", partitions);
   if (!data_dir.empty()) {
     std::printf(", durable in %s", data_dir.c_str());
   }

@@ -242,11 +242,11 @@ class Cluster {
   void CompleteClient(uint64_t client_index, common::Time completion_time);
   void MigrateClients(common::ProcessId dead_site);
 
-  // Partition of a command's key, for checker routing. Delegates to the replica
-  // assembly layer so the key-to-shard policy has one definition (every site's
-  // deployment shares the same partitioner configuration).
+  // Partition of a client command's key, for checker routing. Delegates to the
+  // replica assembly's partitioner so the key-to-shard policy has one definition
+  // (every site's deployment shares the same partitioner configuration).
   uint32_t ShardOfCmd(const smr::Command& cmd) const {
-    return replicas_[0]->ShardOfCmd(cmd);
+    return replicas_[0]->partitioner().ShardOf(cmd.key);
   }
 
   ClusterOptions opts_;

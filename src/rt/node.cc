@@ -14,8 +14,6 @@
 
 #include "src/codec/codec.h"
 #include "src/common/check.h"
-#include "src/dur/frontier.h"
-#include "src/dur/shard_durability.h"
 
 namespace rt {
 
@@ -64,8 +62,8 @@ class Connection {
     Flush();
   }
 
-  // Appends a frame to the write buffer without flushing. The threaded drain
-  // path queues every frame a drain pass produces, then flushes each dirty
+  // Appends a frame to the write buffer without flushing. The drain path
+  // queues every frame a drain pass produces, then flushes each dirty
   // connection once — one write syscall per socket per pass, however many
   // shards fed it.
   void QueueFrame(const std::vector<uint8_t>& payload) {
@@ -99,7 +97,7 @@ class Connection {
   bool closed() const { return closed_; }
   common::ProcessId peer_id = common::kInvalidProcess;  // set after peer hello
   bool is_client = false;
-  bool dirty = false;  // queued frames awaiting the pass-end flush (threaded mode)
+  bool dirty = false;  // queued frames awaiting the pass-end flush
 
  private:
   void OnReady(uint32_t events) {
@@ -168,12 +166,10 @@ Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
     : self_(id), peers_(std::move(peers)), deployment_(deployment) {
   CHECK_LT(self_, peers_.size());
   CHECK(deployment_ != nullptr);
-  if (deployment_->options().threaded) {
-    shards_ = std::make_unique<ShardRuntime>(deployment_);
-    shards_->set_output_notify([this]() { out_bell_.Ring(); });
-    loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
-    out_bell_.Arm();
-  }
+  shards_ = std::make_unique<ShardRuntime>(deployment_);
+  shards_->set_output_notify([this]() { out_bell_.Ring(); });
+  loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
+  out_bell_.Arm();
 }
 
 Node::~Node() {
@@ -218,42 +214,20 @@ void Node::AcceptReady() {
 
 void Node::Run() {
   CHECK_GE(listen_fd_, 0);
-  // Dial peers with a higher id; retry until everyone is up.
+  // Dial peers with a higher id through the re-dial path: non-blocking and
+  // retried with backoff until the peer listens, so Stop() ends Run() even
+  // while a peer never comes up.
   for (common::ProcessId p = self_ + 1; p < peers_.size(); p++) {
-    int fd = -1;
-    while (true) {
-      fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      CHECK_GE(fd, 0);
-      struct sockaddr_in addr;
-      std::memset(&addr, 0, sizeof(addr));
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(peers_[p].port);
-      inet_pton(AF_INET, peers_[p].host.c_str(), &addr.sin_addr);
-      if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) == 0) {
-        break;
-      }
-      close(fd);
-      usleep(50 * 1000);
-    }
-    auto conn = std::make_unique<Connection>(this, fd);
-    // Send peer hello.
-    encode_scratch_.Clear();
-    encode_scratch_.U8(kFramePeerHello);
-    encode_scratch_.U32(self_);
-    conn->SendFrame(encode_scratch_.buffer());
-    conn->peer_id = p;
-    OnPeerConnected(p, std::move(conn));
+    DialPeer(p);
   }
   MaybeStartEngine();
   loop_.Run();
-  if (shards_ != nullptr) {
-    // Join every shard worker before returning control to the caller (who may
-    // destroy the deployment), then push out whatever the workers produced
-    // between the last drain and the join.
-    shards_->Stop();
-    DrainShardOutputs();
-    FlushDirty();
-  }
+  // Join every shard worker before returning control to the caller (who may
+  // destroy the deployment), then push out whatever the workers produced
+  // between the last drain and the join.
+  shards_->Stop();
+  DrainShardOutputs();
+  FlushDirty();
 }
 
 void Node::OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn) {
@@ -280,34 +254,18 @@ void Node::MaybeStartEngine() {
     return;
   }
   engine_started_ = true;
-  if (shards_ != nullptr) {
-    // Threaded tier: each worker binds and starts its own shard engine on its
-    // own thread; the ShardedEngine wrapper (and this node's Context methods)
-    // stay out of the message path entirely. Workers apply recovered restart
-    // hints themselves, right after OnStart.
-    shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
-    SendCatchupRequests();
-    ReplayPendingPeerFrames();
-    for (smr::Command& cmd : pending_submits_) {
-      uint32_t shard = 0;
-      if (deployment_->partitions() > 1) {
-        deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
-      }
-      RouteInput(common::kInvalidProcess, nullptr, shard, &cmd);
-    }
-    pending_submits_.clear();
-    return;
-  }
-  deployment_->engine().Bind(self_, static_cast<uint32_t>(peers_.size()), this);
-  deployment_->engine().OnStart();
-  if (deployment_->HasRecoveredState()) {
-    // After OnStart, so protocol initialization cannot clobber the floors.
-    deployment_->ApplyRestartHints(deployment_->RecoveredRestartHints());
-  }
+  // Each worker binds and starts its own shard engine on its own thread; the
+  // ShardedEngine wrapper stays out of the message path entirely. Workers
+  // apply recovered restart hints themselves, right after OnStart.
+  shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
   SendCatchupRequests();
   ReplayPendingPeerFrames();
   for (smr::Command& cmd : pending_submits_) {
-    deployment_->engine().Submit(std::move(cmd));
+    uint32_t shard = 0;
+    if (deployment_->partitions() > 1) {
+      deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
+    }
+    RouteInput(common::kInvalidProcess, nullptr, shard, &cmd);
   }
   pending_submits_.clear();
 }
@@ -337,11 +295,7 @@ void Node::ReplayPendingPeerFrames() {
         if (!msg::Decode(r, m)) {
           break;
         }
-        if (shards_ != nullptr) {
-          RouteInput(f.from, &m, /*shard=*/0, nullptr);
-        } else {
-          deployment_->engine().OnMessage(f.from, m);
-        }
+        RouteInput(f.from, &m, /*shard=*/0, nullptr);
         break;
       }
       case kFrameCatchupReq:
@@ -419,11 +373,10 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
           if (!unroutable && deployment_->partitions() > 1) {
             // Partition-aware routing: validate against the deployment's
             // Partitioner before the command reaches an engine. A routable
-            // command lands directly on its shard's engine inside
-            // ShardedEngine::Submit — no extra hop. Unroutable input from an
-            // untrusted client (noOps, key sets spanning partitions) is
-            // rejected as dropped instead of CHECK-crashing the replica. P=1
-            // submits verbatim, exactly as the seeded runtime did.
+            // command lands directly in its shard worker's inbox. Unroutable
+            // input from an untrusted client (noOps, key sets spanning
+            // partitions) is rejected as dropped instead of CHECK-crashing the
+            // replica. P=1 submits verbatim to its one worker.
             unroutable = !deployment_->partitioner().SingleShard(req->cmd, &shard);
           }
           if (unroutable) {
@@ -456,11 +409,7 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
           }
           waiting_clients_[key] = conn;
           if (engine_started_) {
-            if (shards_ != nullptr) {
-              RouteInput(common::kInvalidProcess, nullptr, shard, &req->cmd);
-            } else {
-              deployment_->engine().Submit(req->cmd);
-            }
+            RouteInput(common::kInvalidProcess, nullptr, shard, &req->cmd);
           } else {
             pending_submits_.push_back(req->cmd);
           }
@@ -470,10 +419,8 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
       if (conn->peer_id != common::kInvalidProcess) {
         if (!engine_started_) {
           BufferPeerFrame(conn->peer_id, data, size);
-        } else if (shards_ != nullptr) {
-          RouteInput(conn->peer_id, &m, /*shard=*/0, nullptr);
         } else {
-          deployment_->engine().OnMessage(conn->peer_id, m);
+          RouteInput(conn->peer_id, &m, /*shard=*/0, nullptr);
         }
       }
       break;
@@ -517,75 +464,14 @@ void Node::HandleCatchupRequest(codec::Reader& r) {
   if (!r.ok()) {
     return;
   }
-  if (shards_ != nullptr) {
-    // Each shard worker OnRestore()s its engine and streams the missing log
-    // records back as kCatchup outputs. Same bounded-retry discipline as
-    // RouteInput: drain outboxes while an inbox is full, then give up (the
-    // requester simply stays behind until protocol recovery catches it up).
-    for (uint32_t s = 0; s < nshards; s++) {
-      constexpr int kMaxSpins = 200000;
-      for (int spin = 0;; spin++) {
-        if (shards_->RouteCatchupRequest(s, requester, floors[s], frontiers[s])) {
-          break;
-        }
-        if (DrainShardOutputs() > 0) {
-          FlushDirty();
-        }
-        if (spin >= kMaxSpins) {
-          shards_->CountDroppedInput();
-          break;
-        }
-        std::this_thread::yield();
-      }
-    }
-    return;
-  }
-  // Single-driver mode: restore notification + streaming happen inline.
-  std::vector<smr::RestartHint> hints(nshards);
-  for (uint64_t s = 0; s < nshards; s++) {
-    hints[s].seq_floor = floors[s];
-  }
-  deployment_->NotifyRestore(requester, hints);
-  if (!deployment_->durable()) {
-    return;
-  }
+  // Each shard worker OnRestore()s its engine and streams the missing log
+  // records back as kCatchup outputs. A dropped request leaves the requester
+  // behind until protocol recovery catches it up.
   for (uint32_t s = 0; s < nshards; s++) {
-    dur::ShardDurability* d = deployment_->durability(s);
-    if (d == nullptr) {
-      continue;
-    }
-    dur::DotFrontier have;
-    codec::Reader fr(reinterpret_cast<const uint8_t*>(frontiers[s].data()),
-                     frontiers[s].size());
-    have.DecodeFrom(fr);  // malformed decodes empty: over-stream, peer dedups
-    constexpr size_t kEntriesPerFrame = 256;
-    codec::Writer entries;
-    size_t count = 0;
-    auto flush = [&]() {
-      if (count == 0) {
-        return;
-      }
-      codec::Writer payload;
-      payload.Varint(s);
-      payload.Varint(count);
-      std::string body(reinterpret_cast<const char*>(payload.buffer().data()),
-                       payload.buffer().size());
-      body.append(reinterpret_cast<const char*>(entries.buffer().data()),
-                  entries.buffer().size());
-      OnCatchupFrame(requester, std::move(body));
-      entries.Clear();
-      count = 0;
-    };
-    d->StreamMissing(have, [&](const common::Dot& dot, const smr::Command& cmd) {
-      entries.Dot(dot);
-      cmd.EncodeTo(entries);
-      if (++count >= kEntriesPerFrame) {
-        flush();
-      }
+    RouteWithRetry([&]() {
+      return shards_->RouteCatchupRequest(s, requester, floors[s], frontiers[s]);
     });
-    flush();
   }
-  FlushDirty();
 }
 
 void Node::HandleCatchupEntries(codec::Reader& r) {
@@ -600,70 +486,10 @@ void Node::HandleCatchupEntries(codec::Reader& r) {
     if (!r.ok() || !dot.valid()) {
       return;
     }
-    if (shards_ != nullptr) {
-      constexpr int kMaxSpins = 200000;
-      for (int spin = 0;; spin++) {
-        if (shards_->RouteCatchupEntry(static_cast<uint32_t>(shard), dot, cmd)) {
-          break;
-        }
-        if (DrainShardOutputs() > 0) {
-          FlushDirty();
-        }
-        if (spin >= kMaxSpins) {
-          shards_->CountDroppedInput();
-          break;
-        }
-        std::this_thread::yield();
-      }
-    } else {
-      // The normal executed path: the durable admit filter deduplicates
-      // entries our own log replay (or another peer's stream) already covered.
-      Executed(dot, cmd);
-    }
+    RouteWithRetry([&]() {
+      return shards_->RouteCatchupEntry(static_cast<uint32_t>(shard), dot, cmd);
+    });
   }
-}
-
-void Node::Send(common::ProcessId to, msg::Message m) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
-    return;  // peer down; engines tolerate message loss
-  }
-  // Reuse the encode scratch (clear-not-reallocate), pre-sized so Encode never
-  // reallocates mid-message; SendFrame copies into the connection's write buffer.
-  encode_scratch_.Clear();
-  encode_scratch_.Reserve(1 + msg::EncodedSize(m));
-  encode_scratch_.U8(kFrameMessage);
-  msg::Encode(encode_scratch_, m);
-  it->second->SendFrame(encode_scratch_.buffer());
-}
-
-void Node::SetTimer(common::Duration delay, uint64_t token) {
-  // The token is round-tripped untouched back into the deployment's top-level
-  // engine: on sharded replicas it already carries the shard tag (and the
-  // flush-vs-inner discriminator bit) stamped by the ShardedEngine, so two inner
-  // engines picking equal raw tokens can never collide in the timer wheel.
-  loop_.AddTimer(delay,
-                 [this, token]() { deployment_->engine().OnTimer(token); });
-}
-
-void Node::Executed(const common::Dot& dot, const smr::Command& cmd) {
-  // The deployment demultiplexes the executed command — unpacking kBatch
-  // composites — onto its per-shard stores; each client sub-command's result is
-  // sent to the client waiting on it (if it submitted here). On durable
-  // deployments the dot also drives the commit log and its dedup filter.
-  deployment_->ApplyExecuted(
-      dot, cmd, [this](uint32_t, const smr::Command& sub, std::string&& result) {
-        if (!sub.is_noop()) {
-          applied_ops_.fetch_add(1, std::memory_order_release);
-        }
-        ReplyToClient(sub.client, sub.seq, std::move(result), /*dropped=*/false);
-      });
-}
-
-void Node::Dropped(const common::Dot& dot, const smr::Command& original) {
-  deployment_->ForEachDropped(original, [this](const smr::Command& sub) {
-    ReplyToClient(sub.client, sub.seq, "", /*dropped=*/true);
-  });
 }
 
 void Node::CompleteClient(uint64_t client, uint64_t seq,
@@ -680,21 +506,6 @@ void Node::CompleteClient(uint64_t client, uint64_t seq,
     entry.first = seq;
     entry.second = value;
   }
-}
-
-void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
-                         bool dropped) {
-  // Completion bookkeeping runs whether or not a client is waiting here:
-  // catch-up entries and commands submitted via a since-dead connection still
-  // complete, and a reconnecting client must find their cached results.
-  CompleteClient(client, seq, value, dropped);
-  auto it = waiting_clients_.find(chk::CmdKey{client, seq});
-  if (it == waiting_clients_.end()) {
-    return;
-  }
-  Connection* conn = it->second;
-  waiting_clients_.erase(it);
-  SendReply(conn, client, seq, std::move(value), dropped);
 }
 
 void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
@@ -718,10 +529,10 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
   }
 }
 
-// --- Threaded-mode I/O tier ------------------------------------------------
+// --- I/O tier ----------------------------------------------------------------
 
-void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
-                      smr::Command* cmd) {
+template <class TryRoute>
+void Node::RouteWithRetry(TryRoute&& try_route) {
   // Bounded retry, never a blocking wait: a full inbox with a live worker
   // drains in microseconds once we stop hogging the core; a dead worker's
   // inbox swallows input inside the runtime. Draining outboxes between
@@ -729,9 +540,7 @@ void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
   // on its inbox (the deadlock the mailbox discipline forbids).
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
-    bool ok = m != nullptr ? shards_->RouteMessage(from, *m)
-                           : shards_->SubmitToShard(shard, *cmd);
-    if (ok) {
+    if (try_route()) {
       return;
     }
     if (DrainShardOutputs() > 0) {
@@ -743,6 +552,14 @@ void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
     }
     std::this_thread::yield();
   }
+}
+
+void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
+                      smr::Command* cmd) {
+  RouteWithRetry([&]() {
+    return m != nullptr ? shards_->RouteMessage(from, *m)
+                        : shards_->SubmitToShard(shard, *cmd);
+  });
 }
 
 void Node::OnWorkerOutput() {
@@ -776,6 +593,9 @@ void Node::OnPeerSend(common::ProcessId to, msg::Message& m) {
 
 void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                          bool dropped) {
+  // Completion bookkeeping runs whether or not a client is waiting here:
+  // catch-up entries and commands submitted via a since-dead connection still
+  // complete, and a reconnecting client must find their cached results.
   CompleteClient(client, seq, value, dropped);
   auto it = waiting_clients_.find(chk::CmdKey{client, seq});
   if (it == waiting_clients_.end()) {

@@ -9,20 +9,18 @@
 //                    [per shard: varint seq_floor, bytes(frontier)]
 //   catch-up entries [u8 = 4][varint shard][varint count][count x (dot, cmd)]
 // Peers form a full mesh (node i dials every peer j > i; lower ids accept). Client
-// ClientRequest commands are routed through the deployment's smr::Partitioner —
-// on sharded replicas the command lands directly on its partition's engine, with
-// no extra hop — and the reply is sent when the command executes locally. The
-// message envelope's shard tag and the shard-tagged timer tokens both round-trip
-// through the node unchanged.
+// ClientRequest commands are routed through the deployment's smr::Partitioner
+// straight to their partition's worker, and the reply is sent when the command
+// executes locally. The message envelope's shard tag round-trips through the
+// node unchanged.
 //
-// Two execution modes, selected by smr::DeploymentOptions::threaded:
-//   * single-driver (default): the epoll thread drives every shard engine
-//     inline, exactly as the simulator harness does;
-//   * thread-per-shard: the epoll thread becomes a pure I/O tier — it decodes
-//     envelopes, routes them by shard tag into SPSC mailboxes feeding one
-//     worker thread per shard (src/rt/shard_runtime.h), and drains worker
-//     output back out, coalescing outbound frames so each socket is written
-//     at most once per drain pass no matter how many shards fed it.
+// Thread per shard, at every partition count (P=1 runs one worker): the epoll
+// thread is a pure I/O tier — it decodes envelopes, routes them by shard tag
+// into SPSC mailboxes feeding one worker thread per shard
+// (src/rt/shard_runtime.h), and drains worker output back out, coalescing
+// outbound frames so each socket is written at most once per drain pass no
+// matter how many shards fed it. The workers, not the node, are the engines'
+// smr::Context.
 //
 // Fault tolerance: a lost peer socket is reaped and re-dialed with backoff
 // (the dialing side per the mesh rule above; the accepting side waits for the
@@ -37,7 +35,6 @@
 #ifndef SRC_RT_NODE_H_
 #define SRC_RT_NODE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,7 +58,7 @@ struct PeerAddress {
 
 class Connection;
 
-class Node final : public smr::Context, public ShardOutputSink {
+class Node final : public ShardOutputSink {
  public:
   // The deployment (one node's full replica assembly: engine, per-shard stores,
   // batching) is borrowed and must outlive the node.
@@ -72,7 +69,8 @@ class Node final : public smr::Context, public ShardOutputSink {
   // Binds the listen socket; returns false on bind failure.
   bool Listen();
   // Dials higher-id peers, waits for lower-id peers, then starts the engine and
-  // serves until Stop(). Blocks.
+  // serves until Stop(), which ends it at any point (mesh complete or not).
+  // Blocks.
   void Run();
   void Stop();
 
@@ -81,25 +79,14 @@ class Node final : public smr::Context, public ShardOutputSink {
   // Client commands applied to this node's stores so far (sub-commands of a batch
   // count individually; noOps excluded). Safe to read from other threads: tests
   // poll it to detect quiescence before stopping the cluster.
-  uint64_t applied_ops() const {
-    return shards_ != nullptr ? shards_->applied_ops()
-                              : applied_ops_.load(std::memory_order_acquire);
-  }
+  uint64_t applied_ops() const { return shards_->applied_ops(); }
 
-  // Thread-per-shard runtime; nullptr in single-driver mode. Exposed for fault
-  // drills (tests stop one shard's worker and assert clean node shutdown).
+  // The node's shard workers. Exposed for fault drills (tests stop one shard's
+  // worker and assert clean node shutdown) and drop monitoring.
   ShardRuntime* shard_runtime() { return shards_.get(); }
 
-  // smr::Context (single-driver mode; in threaded mode the per-shard workers
-  // are the engines' contexts and these are never invoked):
-  void Send(common::ProcessId to, msg::Message m) override;
-  common::Time Now() const override { return EventLoop::NowUs(); }
-  void SetTimer(common::Duration delay, uint64_t token) override;
-  void Executed(const common::Dot& dot, const smr::Command& cmd) override;
-  void Dropped(const common::Dot& dot, const smr::Command& original) override;
-
-  // ShardOutputSink (threaded mode, I/O thread): queue frames per connection;
-  // DrainShardOutputs flushes each touched socket once per pass.
+  // ShardOutputSink (I/O thread): queue frames per connection; FlushDirty
+  // writes each touched socket once per drain pass.
   void OnPeerSend(common::ProcessId to, msg::Message& m) override;
   void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                      bool dropped) override;
@@ -135,21 +122,22 @@ class Node final : public smr::Context, public ShardOutputSink {
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
-  // Threaded mode: routes one decoded input to its shard's inbox, draining
-  // worker outboxes while the inbox is full (never a blocking wait; bounded
-  // retries, then the input is dropped and counted).
+  // Calls try_route until a shard inbox takes the input, draining worker
+  // outboxes while it is full (never a blocking wait; bounded retries, then
+  // the input is dropped and counted). Instantiated in node.cc only.
+  template <class TryRoute>
+  void RouteWithRetry(TryRoute&& try_route);
+  // Routes one decoded message or client command to its shard's inbox.
   void RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
                   smr::Command* cmd);
-  // Threaded mode: doorbell callback — drain outboxes, flush dirty sockets.
+  // Doorbell callback: drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
   size_t DrainShardOutputs();
   void MarkDirty(Connection* conn);
   void FlushDirty();
-  // Sends a ClientReply frame to the client waiting on (client, seq), if any.
-  void ReplyToClient(uint64_t client, uint64_t seq, std::string&& value, bool dropped);
   // Sends a ClientReply frame on a specific connection (rejection path). With
   // `flush` false the frame is queued and the connection marked dirty instead
-  // (threaded drain path).
+  // (drain path).
   void SendReply(Connection* conn, uint64_t client, uint64_t seq, std::string&& value,
                  bool dropped, bool flush = true);
 
@@ -189,12 +177,11 @@ class Node final : public smr::Context, public ShardOutputSink {
   // Reused (clear-not-reallocate) encode scratch for all outbound frames; pre-sized
   // per message via msg::EncodedSize so encoding never grows it mid-message.
   codec::Writer encode_scratch_;
-  std::atomic<uint64_t> applied_ops_{0};
   bool engine_started_ = false;
 
-  // Threaded mode only. Declaration order matters: workers ring out_bell_ and
-  // reference the deployment, so shards_ (declared last) is destroyed — and its
-  // workers joined — first.
+  // Declaration order matters: workers ring out_bell_ and reference the
+  // deployment, so shards_ (declared last) is destroyed — and its workers
+  // joined — first.
   Doorbell out_bell_;
   std::vector<Connection*> dirty_conns_;
   std::unique_ptr<ShardRuntime> shards_;

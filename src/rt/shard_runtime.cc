@@ -34,8 +34,8 @@ class ShardRuntime::Worker final : public smr::Context {
         inbox_(kMailboxCapacity),
         outbox_(kMailboxCapacity) {
     const smr::DeploymentOptions& d = owner_->deployment_->options();
-    // Submission batching mirrors the sharded single-driver path: enabled only
-    // at P > 1 (P = 1 stays the unbatched seed configuration).
+    // Submission batching follows smr::ShardedEngine's rule: enabled only at
+    // P > 1 (P = 1 stays the unbatched seed configuration).
     batch_window_ = owner_->partitions_ > 1 ? d.batch_window : 0;
     batch_max_ = d.batch_max;
   }

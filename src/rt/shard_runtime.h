@@ -1,10 +1,11 @@
 // Thread-per-shard worker tier of the real runtime.
 //
-// The single-driver rt::Node multiplexed all P shard engines of a deployment
-// over one epoll thread, so the 3.3x simulated shard speedup never turned into
-// real parallelism (and P=8 regressed from driver contention). ShardRuntime
-// splits a replica into the two tiers that parallel SMR designs (Marandi et
-// al.'s P-SMR, Whittaker et al.'s compartmentalization) arrive at:
+// Multiplexing all P shard engines of a deployment over one epoll thread never
+// turned the simulated shard speedup into real parallelism (and P=8 regressed
+// from driver contention). ShardRuntime splits a replica into the two tiers
+// that parallel SMR designs (Marandi et al.'s P-SMR, Whittaker et al.'s
+// compartmentalization) arrive at, and it is rt::Node's only mode — P=1 runs
+// one worker:
 //
 //   * the I/O tier (rt::Node's epoll thread) owns sockets: it decodes frames,
 //     routes them by the envelope's shard tag into per-shard inboxes without
@@ -25,10 +26,9 @@
 // eventfd doorbell with a timeout derived from their own timer wheel, so an
 // idle replica burns no CPU.
 //
-// The simulator path is untouched: threading is a runtime-only property
-// selected by smr::DeploymentOptions::threaded, and the engines driven here
-// are the same sans-I/O objects the simulator drives single-threadedly (the
-// determinism pins and P=1 byte-identity do not move).
+// The simulator path is untouched: threading is a runtime-only property, and
+// the engines driven here are the same sans-I/O objects the simulator drives
+// single-threadedly (the determinism pins and P=1 byte-identity do not move).
 #ifndef SRC_RT_SHARD_RUNTIME_H_
 #define SRC_RT_SHARD_RUNTIME_H_
 

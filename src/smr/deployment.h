@@ -14,10 +14,11 @@
 //     its own dot space/conflict index/executor, plus per-shard service replicas
 //     (kvs::KvStore by default), per-shard applied counts and submission batching.
 //
-// Drivers (sim::Simulator via harness::Cluster, rt::Node over TCP) talk to the
-// assembled replica exclusively through the smr::Engine/Context interfaces, and use
-// the unpack helpers here to demultiplex executed/committed/dropped commands —
-// including kBatch composites — back to per-shard stores and per-client completions.
+// Drivers (sim::Simulator via harness::Cluster, rt::Node's shard workers over TCP)
+// talk to the assembled replica exclusively through the smr::Engine/Context
+// interfaces, and use the unpack helpers here to demultiplex executed/committed/
+// dropped commands — including kBatch composites — back to per-shard stores and
+// per-client completions.
 // Compartmentalization (Whittaker et al.) calls this decoupling of replica roles
 // from deployment shape the enabler for deployment-side scaling; every future
 // deployment feature (membership, reconnection, multi-backend storage) lands here
@@ -88,11 +89,9 @@ struct DeploymentOptions {
   // Builds the per-shard service replica; nullptr defaults to kvs::KvStore.
   std::function<std::unique_ptr<StateMachine>()> state_machine_factory;
 
-  // Runtime threading (honored by rt::Node only; the simulator path stays
-  // single-threaded and byte-identical regardless of these). With `threaded`
-  // set, each shard's engine runs on its own OS worker thread fed by bounded
-  // SPSC mailboxes (src/rt/shard_runtime.h) instead of being multiplexed over
-  // the I/O thread.
+  // Ignored: rt::Node always runs each shard's engine on its own worker thread
+  // (src/rt/shard_runtime.h). Kept only because the benchmark sources still
+  // write it; it goes with the next benchmark change.
   bool threaded = false;
 
   // Persistence (src/dur): non-empty enables the per-shard commit log +
@@ -122,12 +121,6 @@ class Deployment {
   Protocol protocol() const { return opts_.protocol; }
   const Partitioner& partitioner() const { return partitioner_; }
   const DeploymentOptions& options() const { return opts_; }
-
-  // Partition of an executed/dropped command's key (0 for noOps, which apply
-  // nowhere and are skipped by checkers anyway).
-  uint32_t ShardOfCmd(const Command& cmd) const {
-    return cmd.is_noop() ? 0 : partitioner_.ShardOf(cmd.key);
-  }
 
   // Per-shard service replica and its applied-command count (non-noop commands,
   // the per-shard executed_count used for digest comparability between replicas).
@@ -196,44 +189,29 @@ class Deployment {
     return durability_.empty() ? nullptr : durability_[shard].get();
   }
 
-  // Applies one executed engine-level command — unpacking kBatch composites in
-  // encoded order — to the right per-shard store, bumping applied counts, then
-  // invokes fn(shard, sub_command, result) per client command (noOps included;
-  // they apply as no-ops and carry client 0). The unpack scratch is reused
-  // across calls (allocation-free for warm capacities). `dot` is the executed
-  // command's identifier, used for durable logging/dedup; pass an invalid dot
-  // (default Dot{}) when durability is off.
+  // ApplyExecutedShard for a driver of engine(), called from within its
+  // Executed callback: the shard is the one the ShardedEngine reports as
+  // delivering the callback (0 at P=1), read once on entry. The deployment's
+  // own unpack scratch is reused across calls.
   template <class Fn>
   void ApplyExecuted(const common::Dot& dot, const Command& cmd, Fn&& fn) {
-    if (cmd.is_batch()) {
-      CHECK(UnpackBatch(cmd, exec_scratch_));
-      // Every sub-command of a batch shares its shard (the submission path
-      // routed the batch there), so admit the composite once.
-      uint32_t shard = ShardOfCmd(exec_scratch_.front());
-      if (!AdmitDurable(shard, dot, cmd)) {
-        return;
-      }
-      for (const Command& sub : exec_scratch_) {
-        ApplyOne(sub, fn);
-      }
-      MaybeSnapshot(shard);
-      return;
-    }
-    uint32_t shard = ShardOfCmd(cmd);
-    if (!AdmitDurable(shard, dot, cmd)) {
-      return;
-    }
-    ApplyOne(cmd, fn);
-    MaybeSnapshot(shard);
+    uint32_t shard = sharded_ != nullptr ? sharded_->executing_shard() : 0;
+    ApplyExecutedShard(shard, dot, cmd, exec_scratch_, fn);
   }
 
-  // Threaded-runtime variant of ApplyExecuted: applies a command executed by
-  // shard `shard`'s engine using caller-owned unpack scratch, so one worker
-  // thread per shard may apply concurrently (exec_scratch_ and the ShardOfCmd
-  // routing above are single-driver state). Every sub-command of a sharded
-  // engine's command belongs to that shard by construction (the submission
-  // path routed it there); noOps apply as no-ops on the shard's own store.
-  // applied_counts_[shard] is written by shard's worker alone.
+  // The one apply body. Applies a command executed by shard `shard`'s engine
+  // to that shard's store — unpacking kBatch composites in encoded order into
+  // `scratch` (allocation-free for warm capacities) and bumping the shard's
+  // applied count — then invokes fn(shard, sub_command, result) per client
+  // command (noOps included; they apply as no-ops and carry client 0). Every
+  // sub-command belongs to that shard by construction (the submission path
+  // routed it there), and so does a recovery noOp: dot spaces are per shard,
+  // so the shard, never the command's key, also keys the durable log and its
+  // dedup filter. `dot` is the executed command's identifier; pass an invalid
+  // dot (default Dot{}) when durability is off. A shard worker that binds its
+  // shard's engine directly passes its own scratch, so one thread per shard
+  // may apply concurrently; applied_counts_[shard] is written by that thread
+  // alone.
   template <class Fn>
   void ApplyExecutedShard(uint32_t shard, const common::Dot& dot,
                           const Command& cmd, std::vector<Command>& scratch,
@@ -292,12 +270,6 @@ class Deployment {
       durability_[shard]->WriteSnapshot(*stores_[shard],
                                        shard_engine(shard).restart_hint().exec_floor);
     }
-  }
-
-  template <class Fn>
-  void ApplyOne(const Command& cmd, Fn&& fn) {
-    uint32_t shard = ShardOfCmd(cmd);
-    ApplyOneShard(shard, cmd, fn);
   }
 
   template <class Fn>

@@ -9,7 +9,8 @@ namespace smr {
 // Per-shard driver context: stamps outgoing messages and timer tokens with the shard
 // id and forwards everything else to the node's real Context. Commit/execute/drop
 // notifications pass through unchanged — dots stay in the inner engine's per-shard
-// dot space (the harness routes by command key, not by dot).
+// dot space, so an Executed callback first records which shard is delivering it
+// (executing_shard()): the driver applies by that shard, never by command key.
 class ShardedEngine::ShardContext final : public Context {
  public:
   ShardContext(ShardedEngine* owner, uint32_t shard) : owner_(owner), shard_(shard) {}
@@ -30,6 +31,7 @@ class ShardedEngine::ShardContext final : public Context {
   }
 
   void Executed(const common::Dot& dot, const Command& cmd) override {
+    owner_->executing_shard_ = shard_;
     owner_->ctx_->Executed(dot, cmd);
   }
 

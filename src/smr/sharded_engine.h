@@ -81,6 +81,12 @@ class ShardedEngine final : public Engine {
   // Flushes every pending submission batch immediately (tests / drain).
   void FlushAll();
 
+  // The partition whose inner engine delivered the latest Executed callback.
+  // Read it on entry to the callback: dot spaces are per shard, so a driver
+  // must admit and apply an executed command under the shard that executed it
+  // (a recovery noOp carries no key to route by).
+  uint32_t executing_shard() const { return executing_shard_; }
+
  private:
   class ShardContext;
 
@@ -117,6 +123,7 @@ class ShardedEngine final : public Engine {
   uint64_t drain_generation_ = 0;
   bool drain_armed_ = false;
   bool started_ = false;
+  uint32_t executing_shard_ = 0;  // see executing_shard()
 };
 
 }  // namespace smr

@@ -6,17 +6,23 @@
 //    determinism pins, which run the full harness through Deployment);
 //  * P>1 assembly is identical to a hand-rolled ShardedEngine;
 //  * executed/committed/dropped demultiplexing unpacks kBatch composites onto
-//    the right per-shard stores with correct applied counts.
+//    the store of the shard whose engine executed them, with correct applied
+//    counts.
 #include "src/smr/deployment.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/atlas.h"
+#include "src/msg/message.h"
 #include "src/sim/simulator.h"
 #include "src/smr/sharded_engine.h"
 
@@ -132,11 +138,50 @@ TEST(DeploymentTest, ShardedAssemblyMatchesHandRolledShardedEngine) {
   ExpectSameCounters(hand, assembled);
 }
 
+// Stands in for a driver of one replica (process 0 of 3): every Executed
+// callback applies through Deployment::ApplyExecuted, as the simulator harness
+// does, and records the (shard, sub-command) pairs the apply reports. Peers
+// send nothing; Commit hands one shard's engine a commit decision directly.
+class ApplyingDriver final : public smr::Context {
+ public:
+  explicit ApplyingDriver(smr::Deployment* dep) : dep_(dep) {
+    dep_->engine().Bind(0, 3, this);
+    dep_->engine().OnStart();
+  }
+
+  // Shard `shard`'s engine learns that `cmd` committed under `dot` with no
+  // dependencies, so it executes it at once.
+  void Commit(uint32_t shard, const common::Dot& dot, smr::Command cmd) {
+    msg::MCommit commit;
+    commit.dot = dot;
+    commit.cmd = std::move(cmd);
+    msg::Message m{std::move(commit)};
+    m.shard = shard;
+    dep_->engine().OnMessage(dot.proc, m);
+  }
+
+  void Send(ProcessId, msg::Message) override {}
+  common::Time Now() const override { return 0; }
+  void SetTimer(common::Duration, uint64_t) override {}
+  void Executed(const common::Dot& dot, const smr::Command& cmd) override {
+    dep_->ApplyExecuted(dot, cmd,
+                        [this](uint32_t shard, const smr::Command& sub, std::string&&) {
+                          seen.emplace_back(shard, sub);
+                        });
+  }
+
+  std::vector<std::pair<uint32_t, smr::Command>> seen;
+
+ private:
+  smr::Deployment* dep_;
+};
+
 TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
   smr::DeploymentOptions d;
   d.protocol = smr::Protocol::kAtlas;
   d.partitions = 4;
   smr::Deployment dep(std::move(d));
+  ApplyingDriver driver(&dep);
 
   // Find two keys in different shards.
   std::string key_a = "a0";
@@ -151,19 +196,18 @@ TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
   uint32_t shard_a = dep.partitioner().ShardOf(key_a);
   uint32_t shard_b = dep.partitioner().ShardOf(key_b);
 
-  std::vector<std::pair<uint32_t, smr::Command>> seen;
-  auto record = [&seen](uint32_t shard, const smr::Command& sub, std::string&&) {
-    seen.emplace_back(shard, sub);
-  };
-  dep.ApplyExecuted(common::Dot{}, smr::MakePut(1, 1, key_a, "va"), record);
-  dep.ApplyExecuted(common::Dot{}, smr::MakePut(1, 2, key_b, "vb"), record);
+  // Each shard's engine executes under its own dot space, so equal dots on
+  // different shards are different commands.
+  const std::vector<std::pair<uint32_t, smr::Command>>& seen = driver.seen;
+  driver.Commit(shard_a, common::Dot{1, 1}, smr::MakePut(1, 1, key_a, "va"));
+  driver.Commit(shard_b, common::Dot{1, 1}, smr::MakePut(1, 2, key_b, "vb"));
 
   // A batch (all sub-commands shard-local by construction) unpacks in encoded
   // order and lands on its shard's store.
   std::vector<smr::Command> subs;
   subs.push_back(smr::MakeRmw(2, 1, key_a, "+1"));
   subs.push_back(smr::MakeRmw(2, 2, key_a, "+2"));
-  dep.ApplyExecuted(common::Dot{}, smr::MakeBatch(subs), record);
+  driver.Commit(shard_a, common::Dot{1, 2}, smr::MakeBatch(subs));
 
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[0].first, shard_a);
@@ -179,13 +223,64 @@ TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
   EXPECT_EQ(dep.store(shard_b).Apply(smr::MakeGet(9, 2, key_a)), "");
   EXPECT_EQ(dep.store(shard_b).Apply(smr::MakeGet(9, 3, key_b)), "vb");
 
-  // noOps apply nowhere and don't count, but still reach the callback (checker
-  // histories include them).
-  dep.ApplyExecuted(common::Dot{}, smr::MakeNoOp(), record);
+  // noOps apply as no-ops and don't count, but still reach the callback
+  // (checker histories include them) — under the shard that executed them,
+  // which a noOp's empty key cannot tell.
+  driver.Commit(shard_b, common::Dot{2, 1}, smr::MakeNoOp());
   ASSERT_EQ(seen.size(), 5u);
+  EXPECT_EQ(seen[4].first, shard_b);
+  EXPECT_TRUE(seen[4].second.is_noop());
   EXPECT_EQ(dep.applied_count(0) + dep.applied_count(1) + dep.applied_count(2) +
                 dep.applied_count(3),
             4u);
+}
+
+// A recovery noOp belongs to the shard whose engine executed it. Dot spaces
+// are per shard, so admitting shard 1's noOp into shard 0's durable log would
+// make shard 0 skip its own command under the same dot on this replica.
+TEST(DeploymentTest, NoOpIsAdmittedUnderTheShardThatExecutedIt) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("atlas_deploy_noop_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  smr::DeploymentOptions d;
+  d.protocol = smr::Protocol::kAtlas;
+  d.partitions = 2;
+  d.data_dir = dir;
+  d.fsync_mode = dur::FsyncMode::kNone;
+  std::string key0;
+  for (int i = 0; key0.empty() && i < 1000; i++) {
+    std::string k = "k" + std::to_string(i);
+    if (smr::Partitioner(2).ShardOf(k) == 0) {
+      key0 = k;
+    }
+  }
+  ASSERT_FALSE(key0.empty());
+  {
+    smr::Deployment dep(d);
+    ApplyingDriver driver(&dep);
+    driver.Commit(1, common::Dot{1, 1}, smr::MakeNoOp());
+    driver.Commit(0, common::Dot{1, 1}, smr::MakePut(7, 1, key0, "v"));
+    driver.Commit(1, common::Dot{2, 1}, smr::MakeNoOp());
+    ASSERT_EQ(driver.seen.size(), 3u);
+    EXPECT_EQ(driver.seen[0].first, 1u);
+    EXPECT_EQ(driver.seen[1].first, 0u);
+    EXPECT_EQ(dep.applied_count(0), 1u);
+    EXPECT_EQ(dep.store(0).Apply(smr::MakeGet(9, 1, key0)), "v");
+    // Each noOp reaches the durable log of the shard that executed it, and
+    // only that one.
+    EXPECT_TRUE(dep.durability(1)->frontier().Covers(common::Dot{1, 1}));
+    EXPECT_TRUE(dep.durability(1)->frontier().Covers(common::Dot{2, 1}));
+    EXPECT_FALSE(dep.durability(0)->frontier().Covers(common::Dot{2, 1}));
+  }
+  // Restarting from disk replays the put into shard 0's store.
+  smr::Deployment restarted(d);
+  EXPECT_TRUE(restarted.HasRecoveredState());
+  EXPECT_EQ(restarted.applied_count(0), 1u);
+  EXPECT_EQ(restarted.store(0).Apply(smr::MakeGet(9, 1, key0)), "v");
+  fs::remove_all(dir);
 }
 
 TEST(DeploymentTest, ForEachCommittedAndDroppedUnpackBatches) {

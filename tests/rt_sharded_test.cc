@@ -1,250 +1,34 @@
-// Sharded replicas over real TCP: 3 nodes, P=4 partitions, mixed kPut/kRmw.
-//
-// The same smr::Deployment assembly runs on the simulator and the epoll runtime,
-// so a fixed workload must produce the same replicated state on both:
-//  * every (node, shard) store digest converges across the 3 TCP nodes;
-//  * per-shard digests and applied counts match a simulator run of the identical
-//    command script (counter parity between the two drivers);
-//  * with submission batching enabled, the shard-tagged flush timers route
-//    through the runtime's timer wheel end-to-end and the final state is
-//    unchanged.
-//
-// Each client owns a disjoint key set and blocks on every call, so the per-key
-// apply order is the client's program order in every run — which is what makes
-// cross-driver digest comparison exact even for order-sensitive kRmw.
+// Partition routing at the client edge of a sharded TCP replica: 3 nodes,
+// P=4. A client command whose keys span two partitions cannot be ordered by
+// one shard, so the node rejects it with a dropped reply instead of crashing
+// the replica, and a routable command on the same connection still
+// completes. (TCP == simulator parity at P=4 lives in rt_threaded_test.)
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/rt/node.h"
-#include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
+#include "src/smr/partitioner.h"
 
 namespace rt {
 namespace {
 
 constexpr uint32_t kNodes = 3;
 constexpr uint32_t kPartitions = 4;
-constexpr uint64_t kClients = 4;
-constexpr uint64_t kOpsPerClient = 20;
 
-smr::DeploymentOptions MakeOptions(common::Duration batch_window) {
+smr::DeploymentOptions MakeOptions() {
   smr::DeploymentOptions d;
   d.protocol = smr::Protocol::kAtlas;
   d.n = kNodes;
   d.f = 1;
   d.partitions = kPartitions;
-  d.batch_window = batch_window;
-  d.batch_max = 16;
   return d;
-}
-
-// The fixed command script: client c's op i (1-based). Keys are client-owned
-// (disjoint across clients) and cycle over 5 keys so kRmw appends stack up.
-smr::Command ScriptedOp(uint64_t client, uint64_t i) {
-  std::string key = "c" + std::to_string(client) + "-k" + std::to_string(i % 5);
-  std::string value = "v" + std::to_string(i);
-  return (i % 2 == 1) ? smr::MakePut(client, i, key, std::move(value))
-                      : smr::MakeRmw(client, i, key, std::move(value));
-}
-
-struct ShardState {
-  std::vector<uint64_t> digests;  // per (node, shard)
-  std::vector<uint64_t> counts;
-};
-
-// Runs the identical script on the discrete-event simulator through the same
-// Deployment assembly, and returns the per-(node, shard) digests/counts.
-ShardState SimulatorReference() {
-  sim::Simulator::Options opts;
-  opts.seed = 7;
-  sim::Simulator sim(std::make_unique<sim::UniformLatency>(5 * common::kMillisecond,
-                                                           common::kMillisecond),
-                     opts);
-  std::vector<std::unique_ptr<smr::Deployment>> replicas;
-  for (uint32_t i = 0; i < kNodes; i++) {
-    replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
-    sim.AddEngine(&replicas[i]->engine());
-  }
-  sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
-                             const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
-  });
-  sim.Start();
-
-  // Same-site, in-order submission per client: the conflict index dependencies
-  // force the per-key execution order to match the blocking TCP clients'.
-  for (uint64_t c = 1; c <= kClients; c++) {
-    for (uint64_t i = 1; i <= kOpsPerClient; i++) {
-      sim.Submit(static_cast<common::ProcessId>(c % kNodes), ScriptedOp(c, i));
-    }
-  }
-  sim.RunUntilIdle();
-
-  ShardState st;
-  for (uint32_t p = 0; p < kNodes; p++) {
-    for (uint32_t s = 0; s < kPartitions; s++) {
-      st.digests.push_back(replicas[p]->store(s).StateDigest());
-      st.counts.push_back(replicas[p]->applied_count(s));
-    }
-  }
-  return st;
-}
-
-// Brings up a 3-node loopback TCP cluster at P=4, drives the script through
-// blocking clients (one thread per client), waits for every node to apply all
-// commands, and returns the per-(node, shard) state.
-void RunTcpCluster(common::Duration batch_window, ShardState* out) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(43000 + attempt * 16 + (getpid() % 512));
-    std::vector<PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(batch_window)));
-      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;  // port collision; retry with the next block
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
-
-    std::atomic<int> failures{0};
-    std::vector<std::thread> client_threads;
-    for (uint64_t c = 1; c <= kClients; c++) {
-      client_threads.emplace_back([&, c]() {
-        Client client("127.0.0.1", addrs[c % kNodes].port);
-        bool connected = false;
-        for (int i = 0; i < 200 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
-        if (!connected) {
-          failures.fetch_add(1);
-          return;
-        }
-        std::string result;
-        for (uint64_t i = 1; i <= kOpsPerClient; i++) {
-          if (!client.Call(ScriptedOp(c, i), &result)) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : client_threads) {
-      t.join();
-    }
-
-    // Every node executes every command; wait (with a guard) for the commit
-    // stream to drain everywhere before stopping the loops. Nodes are always
-    // stopped and joined before any assertion fires — a fatal failure with
-    // joinable node threads would std::terminate the whole binary.
-    const uint64_t expected = kClients * kOpsPerClient;
-    if (failures.load() == 0) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      bool drained = false;
-      while (!drained && std::chrono::steady_clock::now() < deadline) {
-        drained = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < expected) {
-            drained = false;
-            break;
-          }
-        }
-        if (!drained) {
-          usleep(10 * 1000);
-        }
-      }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    ASSERT_EQ(failures.load(), 0) << "client calls failed";
-    for (auto& node : nodes) {
-      EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
-    }
-
-    for (uint32_t p = 0; p < kNodes; p++) {
-      for (uint32_t s = 0; s < kPartitions; s++) {
-        out->digests.push_back(replicas[p]->store(s).StateDigest());
-        out->counts.push_back(replicas[p]->applied_count(s));
-      }
-    }
-    return;  // success
-  }
-  FAIL() << "could not bind a port block after 5 attempts";
-}
-
-void ExpectConvergedAndMatching(const ShardState& tcp, const ShardState& ref) {
-  ASSERT_EQ(tcp.digests.size(), kNodes * kPartitions);
-  // Convergence: all 3 nodes agree per shard.
-  for (uint32_t s = 0; s < kPartitions; s++) {
-    for (uint32_t p = 1; p < kNodes; p++) {
-      EXPECT_EQ(tcp.digests[p * kPartitions + s], tcp.digests[s])
-          << "node " << p << " diverged on shard " << s;
-      EXPECT_EQ(tcp.counts[p * kPartitions + s], tcp.counts[s])
-          << "node " << p << " count mismatch on shard " << s;
-    }
-  }
-  // Parity with the simulator driving the same assembly over the same script.
-  EXPECT_EQ(tcp.digests, ref.digests);
-  EXPECT_EQ(tcp.counts, ref.counts);
-  // The workload really is spread over multiple partitions.
-  uint32_t busy = 0;
-  for (uint32_t s = 0; s < kPartitions; s++) {
-    if (tcp.counts[s] > 0) {
-      busy++;
-    }
-  }
-  EXPECT_GE(busy, 2u);
-}
-
-TEST(RtShardedTest, FourPartitionsConvergeAndMatchSimulator) {
-  ShardState ref = SimulatorReference();
-  ShardState tcp;
-  RunTcpCluster(/*batch_window=*/0, &tcp);
-  if (HasFatalFailure()) {
-    return;
-  }
-  ExpectConvergedAndMatching(tcp, ref);
-}
-
-// Batching rides the shard-tagged flush timers through the runtime's timer
-// wheel; grouping must not change the final replicated state.
-TEST(RtShardedTest, BatchedSubmissionConvergesToSameState) {
-  ShardState ref = SimulatorReference();
-  ShardState tcp;
-  RunTcpCluster(/*batch_window=*/2 * common::kMillisecond, &tcp);
-  if (HasFatalFailure()) {
-    return;
-  }
-  ExpectConvergedAndMatching(tcp, ref);
 }
 
 // Cross-partition client commands cannot be ordered by one shard; the node must
@@ -261,7 +45,8 @@ TEST(RtShardedTest, UnroutableClientCommandIsRejected) {
     std::vector<std::unique_ptr<Node>> nodes;
     bool bind_ok = true;
     for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
+      replicas.push_back(
+          std::make_unique<smr::Deployment>(MakeOptions()));
       nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
       if (!nodes.back()->Listen()) {
         bind_ok = false;

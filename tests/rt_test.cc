@@ -1,5 +1,6 @@
-// Real-runtime tests: a P=1 Atlas deployment over actual TCP sockets on localhost
-// (framing and behavior must stay exactly as seeded; rt_sharded_test covers P>1).
+// Real-runtime tests: a P=1 Atlas deployment over actual TCP sockets on localhost,
+// one shard worker per node (framing and behavior must stay exactly as seeded;
+// rt_threaded_test covers P>1).
 #include "src/rt/node.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +31,7 @@ struct Cluster {
 
   // Binds a fixed port block chosen from the ephemeral range, retrying the next
   // block on collision, and starts every node. Returns false if no block binds.
-  bool Start(uint16_t first_port, bool threaded) {
+  bool Start(uint16_t first_port) {
     for (int attempt = 0; attempt < 5; attempt++) {
       uint16_t base =
           static_cast<uint16_t>(first_port + attempt * 16 + (getpid() % 512));
@@ -46,7 +47,6 @@ struct Cluster {
         d.protocol = smr::Protocol::kAtlas;
         d.n = kN;
         d.f = 1;
-        d.threaded = threaded;
         replicas.push_back(std::make_unique<smr::Deployment>(std::move(d)));
         nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
         bind_ok = nodes.back()->Listen();
@@ -94,7 +94,7 @@ struct Cluster {
 
 TEST(RtTest, ThreeNodeClusterServesClients) {
   Cluster c;
-  ASSERT_TRUE(c.Start(42000, /*threaded=*/false))
+  ASSERT_TRUE(c.Start(42000))
       << "could not bind a port block after 5 attempts";
   Client client("127.0.0.1", c.addrs[0].port);
   ASSERT_TRUE(c.Connect(client));
@@ -177,7 +177,7 @@ TEST(RtTest, ClientSendToVanishedServerFailsWithoutSignal) {
 TEST(RtTest, NodeKeepsServingWhenClientsVanishMidReply) {
   ASSERT_TRUE(SigpipeIsDefault());
   Cluster c;
-  ASSERT_TRUE(c.Start(43000, /*threaded=*/true))
+  ASSERT_TRUE(c.Start(43000))
       << "could not bind a port block after 5 attempts";
   Client steady("127.0.0.1", c.addrs[0].port);
   ASSERT_TRUE(c.Connect(steady));

@@ -164,6 +164,10 @@ void AtlasEngine::HandleMCollectAck(ProcessId from, const msg::MCollectAck& m) {
     return;
   }
   info.collect_acked.Add(from);
+  if (info.collect_deps.capacity() == 0 && !spare_collect_deps_.empty()) {
+    info.collect_deps = std::move(spare_collect_deps_.back());
+    spare_collect_deps_.pop_back();
+  }
   info.collect_deps.push_back(m.deps);
   if (info.collect_acked == info.quorum) {  // "from all j in Q"
     FinishCollect(m.dot, info);
@@ -171,38 +175,37 @@ void AtlasEngine::HandleMCollectAck(ProcessId from, const msg::MCollectAck& m) {
 }
 
 void AtlasEngine::FinishCollect(const Dot& dot, Info& info) {
-  if (info.nfr) {
-    // NFR (§4): commit immediately after one round trip to a majority, taking the plain
-    // union of the reported dependencies.
-    common::UnionInto(info.collect_deps, scratch_deps_);
-    stats_.fast_paths++;
-    CommitAndBroadcast(dot, info, info.cmd, scratch_deps_, /*fast_path=*/true);
-    return;
-  }
-  // Line 15: fast path iff every reported dependency was reported by >= f quorum
-  // members (∪Q dep == ∪fQ dep).
-  if (common::FastPathCondition(info.collect_deps, config_.f, dep_scratch_)) {
+  // NFR (§4): commit immediately after one round trip to a majority, taking the plain
+  // union of the reported dependencies. Otherwise (line 15): fast path iff every
+  // reported dependency was reported by >= f quorum members (∪Q dep == ∪fQ dep).
+  const bool fast_path =
+      info.nfr || common::FastPathCondition(info.collect_deps, config_.f, dep_scratch_);
+  if (fast_path || !config_.prune_slow_path) {
     common::UnionInto(info.collect_deps, scratch_deps_);  // line 14
-    stats_.fast_paths++;
-    CommitAndBroadcast(dot, info, info.cmd, scratch_deps_, /*fast_path=*/true);  // line 16
-    return;
-  }
-  // Slow path (lines 17-19). With the §4 pruning optimization the coordinator proposes
-  // ∪fQ dep, dropping dependencies reported by fewer than f quorum members. The
-  // paper's per-identifier counting is only sound when conflicts() reports every
-  // conflicting identifier (full index); under dependency compression quorum members
-  // may report different aliases of one conflict chain, so the counting must be
-  // per originating process instead (see ThresholdUnionByProc and DESIGN.md §7).
-  stats_.slow_paths++;
-  if (!config_.prune_slow_path) {
-    common::UnionInto(info.collect_deps, scratch_deps_);
   } else if (config_.index_mode == smr::IndexMode::kFull) {
+    // Slow path with the §4 pruning optimization: the coordinator proposes ∪fQ dep,
+    // dropping dependencies reported by fewer than f quorum members. The paper's
+    // per-identifier counting is only sound when conflicts() reports every
+    // conflicting identifier (full index); under dependency compression quorum
+    // members may report different aliases of one conflict chain, so the counting
+    // must be per originating process instead (see ThresholdUnionByProc and
+    // DESIGN.md §7).
     common::ThresholdUnionInto(info.collect_deps, config_.f, dep_scratch_,
                                scratch_deps_);
   } else {
     common::ThresholdUnionByProcInto(info.collect_deps, config_.f, dep_scratch_,
                                      scratch_deps_);
   }
+  // The acks are consumed: hand the vector's capacity to the next collect, so the
+  // steady-state round allocates nothing for them.
+  info.collect_deps.clear();
+  spare_collect_deps_.push_back(std::move(info.collect_deps));
+  if (fast_path) {
+    stats_.fast_paths++;
+    CommitAndBroadcast(dot, info, info.cmd, scratch_deps_, /*fast_path=*/true);  // line 16
+    return;
+  }
+  stats_.slow_paths++;  // lines 17-19
   ProposeConsensus(dot, info, info.cmd, scratch_deps_, common::InitialBallot(self_));
 }
 
@@ -286,9 +289,25 @@ void AtlasEngine::CommitAndBroadcast(const Dot& dot, Info& info, const smr::Comm
   commit.dot = dot;
   commit.cmd = cmd;
   commit.deps = deps;
+  // The initial coordinator deciding at its initial ballot (fast path, or a slow path
+  // it proposed itself) commits without the payload to the fast-quorum members that
+  // acked its MCollect: each stored `cmd` then. That stays the decided command for as
+  // long as the member keeps the Info, because a value decided at the initial ballot
+  // is the value every higher ballot proposes (any recovery quorum intersects the
+  // fast quorum and the slow path's f+1 acceptors). A member that lost its Info (a
+  // restart) asks for the full commit (HandleMCommit). Recovery-decided commits and
+  // the decided-log replies stay full.
+  const bool initial = dot.proc == self_ &&
+                       (fast_path || info.proposal_ballot == common::InitialBallot(self_));
+  msg::MCommit bare;
+  if (initial) {
+    bare.dot = dot;
+    bare.deps = deps;
+    bare.has_cmd = false;
+  }
   for (ProcessId p = 0; p < n_; p++) {
     if (p != self_) {
-      SendTo(p, commit);
+      SendTo(p, initial && info.collect_acked.Contains(p) ? bare : commit);
     }
   }
   // `info` may be invalidated by self-commit (execution erases entries); apply last.
@@ -296,7 +315,29 @@ void AtlasEngine::CommitAndBroadcast(const Dot& dot, Info& info, const smr::Comm
 }
 
 void AtlasEngine::HandleMCommit(ProcessId from, const msg::MCommit& m) {
-  ApplyCommit(m.dot, m.cmd, m.deps, /*fast_path=*/false);
+  if (m.has_cmd) {
+    ApplyCommit(m.dot, m.cmd, m.deps, /*fast_path=*/false);
+    return;
+  }
+  if (CommittedOrExecuted(m.dot)) {
+    return;
+  }
+  // A bare commit: the payload is the one this process stored from the coordinator's
+  // MCollect (a non-empty quorum marks that). ApplyCommit copies it out of the Info.
+  const Info* info = infos_.Find(m.dot);
+  if (info != nullptr && !info->quorum.empty()) {
+    ApplyCommit(m.dot, info->cmd, m.deps, /*fast_path=*/false);
+    return;
+  }
+  // The stored payload is gone (a restart wiped infos_): ask the committer for the
+  // full commit with a ballot-0 MRec. A process that decided the dot answers from its
+  // decided log; any other fails the MRec's ballot precondition and drops it. Until
+  // then the dot is pending here like any other, so the watch and the recovery scan
+  // still cover a lost reply.
+  ArmWatch(m.dot, GetInfo(m.dot));
+  msg::MRec fetch;
+  fetch.dot = m.dot;
+  SendTo(from, fetch);
 }
 
 void AtlasEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd, const DepSet& deps,

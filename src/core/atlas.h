@@ -136,6 +136,8 @@ class AtlasEngine final : public smr::Engine {
   // copies allocate nothing in steady state.
   smr::Command commit_cmd_scratch_;
   common::DepSet commit_deps_scratch_;
+  // Emptied collect-ack vectors, reused by the next collects (Info::collect_deps).
+  std::vector<std::vector<common::DepSet>> spare_collect_deps_;
 
   uint64_t next_seq_ = 1;
   // Open-addressed flat map (see dot_map.h): per-command protocol state was the last

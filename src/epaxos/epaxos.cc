@@ -249,16 +249,55 @@ void EPaxosEngine::CommitAndBroadcast(const Dot& dot, Info& info, bool fast_path
   commit.cmd = info.cmd;
   commit.deps = info.deps;
   commit.seqno = info.seqno;
+  // As in Atlas: the command leader deciding at its initial ballot (fast path, or the
+  // Accept it ran itself) commits without the payload to the pre-accept quorum
+  // members that acked, which stored `cmd` then. A value decided at the initial
+  // ballot is the value every higher ballot proposes (a recovery majority meets the
+  // fast quorum or the accepting majority), so their Info holds the decided command
+  // while it exists; one that lost it (a restart) asks for the full commit
+  // (HandleCommit). Recovery-decided and decided-log commits stay full.
+  const bool initial = dot.proc == self_ &&
+                       (fast_path || info.proposal_ballot == common::InitialBallot(self_));
+  msg::EpCommit bare;
+  if (initial) {
+    bare.dot = dot;
+    bare.deps = info.deps;
+    bare.seqno = info.seqno;
+    bare.has_cmd = false;
+  }
   for (ProcessId p = 0; p < n_; p++) {
     if (p != self_) {
-      SendTo(p, commit);
+      SendTo(p, initial && info.preaccept_acked.Contains(p) ? bare : commit);
     }
   }
   ApplyCommit(dot, commit.cmd, commit.deps, commit.seqno, fast_path);
 }
 
 void EPaxosEngine::HandleCommit(ProcessId from, const msg::EpCommit& m) {
-  ApplyCommit(m.dot, m.cmd, m.deps, m.seqno, /*fast_path=*/false);
+  if (m.has_cmd) {
+    ApplyCommit(m.dot, m.cmd, m.deps, m.seqno, /*fast_path=*/false);
+    return;
+  }
+  if (executor_.IsCommitted(m.dot)) {
+    return;
+  }
+  // A bare commit: the payload is the one this process stored from the leader's
+  // EpPreAccept (a non-empty quorum marks that). Copied out first: ApplyCommit
+  // inserts into infos_, which would move the Info under a reference.
+  const Info* info = infos_.Find(m.dot);
+  if (info != nullptr && !info->quorum.empty()) {
+    commit_cmd_scratch_ = info->cmd;
+    ApplyCommit(m.dot, commit_cmd_scratch_, m.deps, m.seqno, /*fast_path=*/false);
+    return;
+  }
+  // The stored payload is gone (a restart wiped infos_): ask the committer for the
+  // full commit with a ballot-0 EpPrepare. A process that decided the dot answers
+  // from its decided log; any other fails the ballot precondition and drops it. The
+  // watch and the recovery scan still cover a lost reply.
+  ArmWatch(m.dot, GetInfo(m.dot));
+  msg::EpPrepare fetch;
+  fetch.dot = m.dot;
+  SendTo(from, fetch);
 }
 
 void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,

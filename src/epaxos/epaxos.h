@@ -199,6 +199,8 @@ class EPaxosEngine final : public smr::Engine {
   common::DotMap<Info> infos_;
   // seq numbers of every known command, for the max-conflict-seq computation.
   common::DotMap<uint64_t> seqnos_;
+  // A bare commit's payload, copied out of its Info (capacity reused).
+  smr::Command commit_cmd_scratch_;
   std::unordered_set<common::ProcessId> suspected_;
   bool scan_timer_armed_ = false;
 

@@ -103,13 +103,19 @@ MConsensusAck GetMConsensusAck(codec::Reader& r) {
 template <class W>
 void Put(W& w, const MCommit& m) {
   w.Dot(m.dot);
-  m.cmd.EncodeTo(w);
+  w.Bool(m.has_cmd);
+  if (m.has_cmd) {
+    m.cmd.EncodeTo(w);
+  }
   w.Deps(m.deps);
 }
 MCommit GetMCommit(codec::Reader& r) {
   MCommit m;
   m.dot = r.Dot();
-  m.cmd = smr::Command::Decode(r);
+  m.has_cmd = r.Bool();
+  if (m.has_cmd) {
+    m.cmd = smr::Command::Decode(r);
+  }
   m.deps = r.Deps();
   return m;
 }
@@ -215,14 +221,20 @@ EpAcceptAck GetEpAcceptAck(codec::Reader& r) {
 template <class W>
 void Put(W& w, const EpCommit& m) {
   w.Dot(m.dot);
-  m.cmd.EncodeTo(w);
+  w.Bool(m.has_cmd);
+  if (m.has_cmd) {
+    m.cmd.EncodeTo(w);
+  }
   w.Deps(m.deps);
   w.Varint(m.seqno);
 }
 EpCommit GetEpCommit(codec::Reader& r) {
   EpCommit m;
   m.dot = r.Dot();
-  m.cmd = smr::Command::Decode(r);
+  m.has_cmd = r.Bool();
+  if (m.has_cmd) {
+    m.cmd = smr::Command::Decode(r);
+  }
   m.deps = r.Deps();
   m.seqno = r.Varint();
   return m;

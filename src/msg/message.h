@@ -55,10 +55,14 @@ struct MConsensusAck {
   Ballot ballot = 0;
 };
 
+// The initial coordinator's commit to a fast-quorum member that acked its MCollect
+// carries no payload (has_cmd = false): that member already stores the command.
+// Every other commit carries it.
 struct MCommit {
   Dot dot;
-  smr::Command cmd;
+  smr::Command cmd;  // encoded only when has_cmd
   DepSet deps;
+  bool has_cmd = true;
 };
 
 struct MRec {
@@ -108,11 +112,14 @@ struct EpAcceptAck {
   Ballot ballot = 0;
 };
 
+// Bare (has_cmd = false) from the command leader to pre-accept quorum members that
+// acked, as for MCommit.
 struct EpCommit {
   Dot dot;
-  smr::Command cmd;
+  smr::Command cmd;  // encoded only when has_cmd
   DepSet deps;
   uint64_t seqno = 0;
+  bool has_cmd = true;
 };
 
 struct EpPrepare {

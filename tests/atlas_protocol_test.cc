@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sim/simulator.h"
 
@@ -88,6 +90,24 @@ struct TestCluster {
   int fast_commits = 0;
 };
 
+// Counts the MCommits sent for one dot, split by whether they carry the payload.
+struct CommitCounter final : sim::FaultHook {
+  explicit CommitCounter(Dot d) : dot(d) {}
+  void OnSend(ProcessId from, ProcessId to, msg::Message& m, sim::FaultPlan&) override {
+    const msg::MCommit* commit = msg::get_if<msg::MCommit>(&m);
+    if (commit != nullptr && commit->dot == dot) {
+      if (commit->has_cmd) {
+        full_to.push_back(to);
+      } else {
+        bare++;
+      }
+    }
+  }
+  Dot dot;
+  std::vector<ProcessId> full_to;
+  int bare = 0;
+};
+
 TEST(AtlasProtocolTest, SingleCommandCommitsOnFastPathAndExecutesEverywhere) {
   TestCluster tc(3, 1);
   tc.sim->Submit(0, smr::MakePut(1, 1, "k", "v"));
@@ -135,6 +155,8 @@ TEST(AtlasProtocolTest, ConflictingCommandsExecuteInSameOrderEverywhere) {
 
 TEST(AtlasProtocolTest, NonConflictingCommandsAlwaysFastEvenF2) {
   TestCluster tc(5, 2);
+  CommitCounter commits(Dot{0, 1});
+  tc.sim->SetFaultHook(&commits);
   for (ProcessId p = 0; p < 5; p++) {
     for (int i = 0; i < 10; i++) {
       tc.sim->Submit(p, smr::MakePut(p + 1, static_cast<uint64_t>(i) + 1,
@@ -147,6 +169,11 @@ TEST(AtlasProtocolTest, NonConflictingCommandsAlwaysFastEvenF2) {
     slow += e->stats().slow_paths;
   }
   EXPECT_EQ(slow, 0u);
+  // The fast-path commit reaches the fast-quorum members that acked the MCollect
+  // ({0,1,2,3}) without the payload they already store; only process 4 gets it.
+  EXPECT_EQ(commits.full_to, std::vector<ProcessId>{4});
+  EXPECT_EQ(commits.bare, 3);
+  EXPECT_EQ(tc.executed.size(), 50u * 5);
 }
 
 // Figure 1 scenario: with f=2, a dependency reported by a single fast-quorum process
@@ -157,6 +184,8 @@ TEST(AtlasProtocolTest, SlowPathTriggersWhenDependencyUnderReported) {
   // process 2 early and processes 0,1 late, so exactly one member of a's quorum
   // reports b: count(b) = 1 < f.
   TestCluster tc(5, 2, false, true, 10 * kMillisecond);
+  CommitCounter commits(Dot{0, 1});
+  tc.sim->SetFaultHook(&commits);
   tc.sim->SetLinkDelay(4, 0, 100 * kMillisecond);
   tc.sim->SetLinkDelay(4, 1, 100 * kMillisecond);
   tc.sim->Submit(4, smr::MakePut(5, 1, "hot", "v"));  // command b
@@ -171,6 +200,29 @@ TEST(AtlasProtocolTest, SlowPathTriggersWhenDependencyUnderReported) {
   }
   // a's coordinator saw b under-reported and had to use consensus.
   EXPECT_GE(tc.engines[0]->stats().slow_paths, 1u);
+  // Decided at a's initial ballot, so the commit is bare to the fast quorum
+  // {0,1,2,3}: only process 4 gets the payload.
+  EXPECT_EQ(commits.full_to, std::vector<ProcessId>{4});
+  EXPECT_EQ(commits.bare, 3);
+}
+
+// Bandwidth pin for payload-free commits: a seeded n=3 f=1 run of 1000 puts with
+// 100 B values. When every commit carried the command the cluster sent 404,593
+// bytes. Half of the commits now go bare (295,720 bytes), and the run must send at
+// most 75% of the old figure.
+TEST(AtlasProtocolTest, BareCommitsCutBytesSent) {
+  TestCluster tc(3, 1);
+  const std::string value(100, 'v');
+  for (uint64_t i = 0; i < 1000; i++) {
+    ProcessId p = static_cast<ProcessId>(i % 3);
+    tc.sim->Submit(p, smr::MakePut(p + 1, i + 1, "key" + std::to_string(i % 8), value));
+    if (i % 10 == 9) {
+      tc.sim->RunFor(5 * kMillisecond);
+    }
+  }
+  tc.sim->RunUntilIdle();
+  EXPECT_EQ(tc.executed.size(), 3000u);
+  EXPECT_LE(tc.sim->bytes_sent(), 404593u * 3 / 4);
 }
 
 TEST(AtlasProtocolTest, NfrReadsCommitAfterMajorityAndAreNotDependencies) {

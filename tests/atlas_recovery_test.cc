@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "src/core/atlas.h"
 #include "src/sim/simulator.h"
@@ -23,14 +25,13 @@ struct RecCluster {
     opts.seed = seed;
     sim = std::make_unique<sim::Simulator>(
         std::make_unique<sim::UniformLatency>(10 * kMillisecond, 0), opts);
+    config.n = n;
+    config.f = f;
+    config.recovery_scan_interval = 100 * kMillisecond;
+    config.recovery_retry_interval = 300 * kMillisecond;
+    config.commit_timeout = 500 * kMillisecond;
     for (uint32_t i = 0; i < n; i++) {
-      Config cfg;
-      cfg.n = n;
-      cfg.f = f;
-      cfg.recovery_scan_interval = 100 * kMillisecond;
-      cfg.recovery_retry_interval = 300 * kMillisecond;
-      cfg.commit_timeout = 500 * kMillisecond;
-      engines.push_back(std::make_unique<AtlasEngine>(cfg));
+      engines.push_back(std::make_unique<AtlasEngine>(config));
       sim->AddEngine(engines.back().get());
     }
     sim->SetExecutedHandler([this](ProcessId p, const Dot& d, const smr::Command& c) {
@@ -57,15 +58,45 @@ struct RecCluster {
     return k;
   }
 
+  // The (dot, command) sequence process p executed.
+  std::vector<std::pair<Dot, smr::Command>> ExecutedAt(ProcessId p) const {
+    std::vector<std::pair<Dot, smr::Command>> out;
+    for (const auto& [proc, dot, cmd] : executed) {
+      if (proc == p) {
+        out.emplace_back(dot, cmd);
+      }
+    }
+    return out;
+  }
+
+  Config config;
   std::unique_ptr<sim::Simulator> sim;
   std::vector<std::unique_ptr<AtlasEngine>> engines;
   std::vector<std::tuple<ProcessId, Dot, smr::Command>> executed;
+};
+
+// Records the MCommits and MRecs sent for one dot.
+struct SendLog final : sim::FaultHook {
+  explicit SendLog(Dot d) : dot(d) {}
+  void OnSend(ProcessId from, ProcessId to, msg::Message& m, sim::FaultPlan&) override {
+    if (const auto* commit = msg::get_if<msg::MCommit>(&m); commit && commit->dot == dot) {
+      (commit->has_cmd ? full_commits : bare_commits)++;
+    } else if (const auto* rec = msg::get_if<msg::MRec>(&m); rec && rec->dot == dot) {
+      recs.emplace_back(from, to, rec->ballot);
+    }
+  }
+  Dot dot;
+  int full_commits = 0;
+  int bare_commits = 0;
+  std::vector<std::tuple<ProcessId, ProcessId, common::Ballot>> recs;
 };
 
 // The coordinator crashes after its MCollect reached the fast quorum but before any
 // MCommit: survivors must recover the command itself (not a noOp).
 TEST(AtlasRecoveryTest, RecoversCommandWhenQuorumSawCollect) {
   RecCluster tc(5, 2);
+  SendLog log(Dot{0, 1});
+  tc.sim->SetFaultHook(&log);
   // Block coordinator 0's acks so it cannot commit, but let MCollect through.
   // Easiest: let MCollects be delivered, then crash 0 before acks return.
   tc.sim->Submit(0, smr::MakePut(1, 1, "k", "v"));
@@ -82,6 +113,35 @@ TEST(AtlasRecoveryTest, RecoversCommandWhenQuorumSawCollect) {
     EXPECT_FALSE(cmd.is_noop());
     EXPECT_EQ(cmd.key, "k");
   }
+  // A recovery-decided commit carries the payload to everyone, including the
+  // fast-quorum members that stored it from the dead coordinator's MCollect.
+  EXPECT_EQ(log.bare_commits, 0);
+  EXPECT_GE(log.full_commits, 3);
+}
+
+// A fast-quorum member restarts after acking the MCollect but before the bare commit
+// arrives, so the stored payload is gone. It fetches the full commit from the
+// coordinator with a ballot-0 MRec and executes the same command as everyone else.
+TEST(AtlasRecoveryTest, RestartedFastQuorumMemberFetchesThePayload) {
+  RecCluster tc(3, 1);  // fast quorum of 0: {0, 1}
+  SendLog log(Dot{0, 1});
+  tc.sim->SetFaultHook(&log);
+  tc.sim->Submit(0, smr::MakePut(1, 1, "k", "v"));
+  tc.sim->RunFor(15 * kMillisecond);  // 1 stored the command and acked at t=10
+  tc.sim->Crash(1);
+  AtlasEngine fresh(tc.config);
+  tc.sim->Restart(1, &fresh);
+  tc.sim->RunUntilIdle();
+  EXPECT_EQ(tc.engines[0]->stats().fast_paths, 1u);
+  EXPECT_EQ(log.bare_commits, 1);  // to 1, whose new incarnation lacks the payload
+  ASSERT_EQ(log.recs.size(), 1u);
+  EXPECT_EQ(log.recs[0], std::make_tuple(ProcessId{1}, ProcessId{0}, common::Ballot{0}));
+  EXPECT_EQ(log.full_commits, 2);  // to 2, and 0's answer to the fetch
+  auto ref = tc.ExecutedAt(0);
+  ASSERT_EQ(ref.size(), 1u);
+  EXPECT_EQ(ref[0].second, smr::MakePut(1, 1, "k", "v"));
+  EXPECT_EQ(tc.ExecutedAt(1), ref);
+  EXPECT_EQ(tc.ExecutedAt(2), ref);
 }
 
 // The coordinator crashes before anyone saw the payload: survivors must agree on noOp

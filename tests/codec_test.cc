@@ -192,4 +192,44 @@ TEST(CodecTest, TruncatedMessagesFailCleanly) {
   }
 }
 
+// The coordinator's commit to a fast-quorum member travels bare (has_cmd = false).
+// Both forms of MCommit and EpCommit round-trip, EncodedSize matches the encoding,
+// the bare form omits the command's bytes, and every truncation fails cleanly.
+TEST(CodecTest, BareAndFullCommitsRoundTrip) {
+  const smr::Command cmd = smr::MakePut(1, 2, "k", std::string(100, 'v'));
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}};
+  auto check = [&](auto full) {
+    auto bare = full;
+    bare.cmd = smr::Command();
+    bare.has_cmd = false;
+    std::vector<size_t> sizes;
+    for (const auto* in : {&full, &bare}) {
+      msg::Message m = *in;
+      codec::Writer w;
+      msg::Encode(w, m);
+      sizes.push_back(w.size());
+      EXPECT_EQ(msg::EncodedSize(m), w.size());
+      codec::Reader r(w.buffer());
+      msg::Message out;
+      ASSERT_TRUE(msg::Decode(r, out)) << msg::TypeName(m);
+      const auto* got = msg::get_if<std::decay_t<decltype(full)>>(&out);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(got->dot, in->dot);
+      EXPECT_EQ(got->has_cmd, in->has_cmd);
+      EXPECT_EQ(got->cmd, in->cmd);
+      EXPECT_EQ(got->deps, in->deps);
+      for (size_t cut = 0; cut < w.size(); cut++) {
+        codec::Reader tr(w.buffer().data(), cut);
+        msg::Message trunc;
+        EXPECT_FALSE(msg::Decode(tr, trunc)) << msg::TypeName(m) << " cut at " << cut;
+      }
+    }
+    codec::SizeWriter cmd_size;
+    cmd.EncodeTo(cmd_size);
+    EXPECT_EQ(sizes[0] - sizes[1], cmd_size.size());
+  };
+  check(msg::MCommit{Dot{0, 7}, cmd, deps});
+  check(msg::EpCommit{Dot{0, 7}, cmd, deps, 5});
+}
+
 }  // namespace

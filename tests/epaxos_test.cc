@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "src/sim/simulator.h"
 
@@ -79,8 +81,27 @@ struct TestCluster {
   std::vector<std::pair<ProcessId, smr::Command>> executed;
 };
 
+// Records the EpCommits and EpPrepares sent for one dot.
+struct SendLog final : sim::FaultHook {
+  explicit SendLog(Dot d) : dot(d) {}
+  void OnSend(ProcessId from, ProcessId to, msg::Message& m, sim::FaultPlan&) override {
+    if (const auto* commit = msg::get_if<msg::EpCommit>(&m); commit && commit->dot == dot) {
+      (commit->has_cmd ? full_commits : bare_commits)++;
+    } else if (const auto* prep = msg::get_if<msg::EpPrepare>(&m);
+               prep && prep->dot == dot) {
+      prepares.emplace_back(from, to, prep->ballot);
+    }
+  }
+  Dot dot;
+  int full_commits = 0;
+  int bare_commits = 0;
+  std::vector<std::tuple<ProcessId, ProcessId, common::Ballot>> prepares;
+};
+
 TEST(EPaxosTest, NonConflictingGoesFast) {
   TestCluster tc(5);
+  SendLog log(Dot{0, 1});
+  tc.sim->SetFaultHook(&log);
   for (ProcessId p = 0; p < 5; p++) {
     tc.sim->Submit(p, smr::MakePut(p + 1, 1, "key" + std::to_string(p), "v"));
   }
@@ -88,6 +109,10 @@ TEST(EPaxosTest, NonConflictingGoesFast) {
   EXPECT_EQ(tc.TotalFast(), 5u);
   EXPECT_EQ(tc.TotalSlow(), 0u);
   EXPECT_EQ(tc.executed.size(), 25u);
+  // The leader's commit reaches the two other fast-quorum members (n=5: quorum of
+  // 3) without the payload they stored from its EpPreAccept.
+  EXPECT_EQ(log.bare_commits, 2);
+  EXPECT_EQ(log.full_commits, 2);
 }
 
 TEST(EPaxosTest, SequentialConflictingGoesFast) {
@@ -105,16 +130,52 @@ TEST(EPaxosTest, ConcurrentConflictingForcesSlowPathUnlikeAtlas) {
   // Two conflicting commands submitted simultaneously at different replicas: the
   // fast-quorum replies cannot all match for both coordinators.
   TestCluster tc(5);
+  SendLog log(Dot{4, 1});
+  tc.sim->SetFaultHook(&log);
   tc.sim->Submit(0, smr::MakePut(1, 1, "hot", "v"));
   tc.sim->Submit(4, smr::MakePut(2, 1, "hot", "v"));
   tc.sim->RunUntilIdle();
   EXPECT_GE(tc.TotalSlow(), 1u);
+  // 4 went slow; its commit at the initial ballot is still bare to its acked
+  // fast-quorum members.
+  EXPECT_EQ(tc.engines[4]->stats().slow_paths, 1u);
+  EXPECT_EQ(log.bare_commits, 2);
+  EXPECT_EQ(log.full_commits, 2);
   // Despite the conflict, execution order agrees everywhere.
   auto ref = tc.OrderAt(0);
   EXPECT_EQ(ref.size(), 2u);
   for (ProcessId p = 1; p < 5; p++) {
     EXPECT_EQ(tc.OrderAt(p), ref);
   }
+}
+
+// A pre-accept quorum member restarts after acking but before the bare commit
+// arrives, so the stored payload is gone. It fetches the full commit from the leader
+// with a ballot-0 EpPrepare and executes the same command as everyone else.
+TEST(EPaxosTest, RestartedFastQuorumMemberFetchesThePayload) {
+  TestCluster tc(3);  // fast quorum of 0: {0, 1}
+  SendLog log(Dot{0, 1});
+  tc.sim->SetFaultHook(&log);
+  tc.sim->Submit(0, smr::MakePut(1, 1, "k", "v"));
+  tc.sim->RunFor(15 * kMillisecond);  // 1 stored the command and acked at t=10
+  tc.sim->Crash(1);
+  Config cfg;
+  cfg.n = 3;
+  EPaxosEngine fresh(cfg);
+  tc.sim->Restart(1, &fresh);
+  tc.sim->RunUntilIdle();
+  EXPECT_EQ(tc.TotalFast(), 1u);
+  EXPECT_EQ(log.bare_commits, 1);  // to 1, whose new incarnation lacks the payload
+  ASSERT_EQ(log.prepares.size(), 1u);
+  EXPECT_EQ(log.prepares[0],
+            std::make_tuple(ProcessId{1}, ProcessId{0}, common::Ballot{0}));
+  EXPECT_EQ(log.full_commits, 2);  // to 2, and 0's answer to the fetch
+  ASSERT_EQ(tc.executed.size(), 3u);
+  for (const auto& [proc, cmd] : tc.executed) {
+    EXPECT_EQ(cmd, smr::MakePut(1, 1, "k", "v")) << "process " << proc;
+  }
+  EXPECT_EQ(tc.OrderAt(1), tc.OrderAt(0));
+  EXPECT_EQ(tc.OrderAt(2), tc.OrderAt(0));
 }
 
 TEST(EPaxosTest, HighContentionStaysConsistent) {

@@ -6,12 +6,14 @@
 //   fault_campaign --pack kill_one_replica --seed 7 --protocol atlas --partitions 4
 //   fault_campaign --pack all --seeds 5 --protocol all
 //   fault_campaign --smoke        # CI preset: 2 seeds x all packs x atlas, P=1
+//   fault_campaign --smoke --protocol all  # the preset with any flag overridden
 //
 // Exit status is nonzero iff any run failed a gate.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,17 +32,21 @@ void PrintUsage() {
       "  --seeds N      sweep N consecutive seeds starting at --seed (default 1)\n"
       "  --data-dir DIR persist commit logs + snapshots per tuple under DIR;\n"
       "                 scheduled restarts recover from disk (see src/dur)\n"
-      "  --smoke        CI preset: all packs, 2 seeds, atlas, P=1\n"
+      "  --smoke        CI preset: all packs, 2 seeds, atlas, P=1; other flags\n"
+      "                 override it in any order\n"
       "  --list         print the scenario packs and exit\n");
 }
 
 struct Args {
   std::string pack = "all";
   uint64_t seed = 1;
-  uint64_t seeds = 1;
+  std::optional<uint64_t> seeds;  // unset: 1, or 2 under --smoke
   std::string protocol = "atlas";
   uint32_t partitions = 1;
   std::string data_dir;
+  // The CI preset differs from the defaults only in its seed count, and fills in
+  // only what the command line left unset, so flag order does not matter.
+  bool smoke = false;
   bool list = false;
 };
 
@@ -79,10 +85,7 @@ bool Parse(int argc, char** argv, Args& args) {
       if (v == nullptr) return false;
       args.data_dir = v;
     } else if (a == "--smoke") {
-      args.pack = "all";
-      args.seeds = 2;
-      args.protocol = "atlas";
-      args.partitions = 1;
+      args.smoke = true;
     } else if (a == "--list") {
       args.list = true;
     } else if (a == "--help" || a == "-h") {
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
   if (!Parse(argc, argv, args)) {
     return 2;
   }
+  const uint64_t seeds = args.seeds.value_or(args.smoke ? 2 : 1);
 
   if (args.list) {
     for (const fault::Scenario& s : fault::AllScenarios()) {
@@ -143,7 +147,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> reruns;
   for (const std::string& pack : packs) {
     for (harness::Protocol protocol : protocols) {
-      for (uint64_t s = 0; s < args.seeds; s++) {
+      for (uint64_t s = 0; s < seeds; s++) {
         fault::RunSpec spec;
         spec.pack = pack;
         spec.seed = args.seed + s;

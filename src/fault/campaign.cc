@@ -59,6 +59,10 @@ std::string RerunCommand(const RunSpec& spec) {
                     std::to_string(spec.seed) + " --protocol " +
                     ProtocolFlagName(spec.protocol) + " --partitions " +
                     std::to_string(spec.partitions);
+  if (spec.batch_window != 0) {
+    cmd += " --batch-window-ms " +
+           std::to_string(spec.batch_window / common::kMillisecond);
+  }
   if (!spec.data_dir.empty()) {
     cmd += " --data-dir " + spec.data_dir;
   }
@@ -80,6 +84,7 @@ RunResult RunScenario(const RunSpec& spec) {
   opts.seed = spec.seed;
   opts.enable_checker = true;
   opts.partitions = spec.partitions;
+  opts.batch_window = spec.batch_window;
   // Recovery machinery a fault run relies on: commit-outcome watches (so a lost
   // commit cannot wedge a replica) plus paced recovery scans after crashes.
   opts.commit_timeout = 1 * common::kSecond;
@@ -158,14 +163,9 @@ RunResult RunScenario(const RunSpec& spec) {
   }
 
   // Workload: one closed-loop client per site, bounded retry.
-  std::shared_ptr<wl::Workload> workload;
-  if (spec.partitions > 1) {
-    workload = std::make_shared<wl::PartitionedMicroWorkload>(
-        spec.partitions, sc->conflict_rate, /*value_size=*/16);
-  } else {
-    workload =
-        std::make_shared<wl::MicroWorkload>(sc->conflict_rate, /*value_size=*/16);
-  }
+  // At P=1 this is exactly wl::MicroWorkload.
+  auto workload = std::make_shared<wl::PartitionedMicroWorkload>(
+      spec.partitions, sc->conflict_rate, /*value_size=*/16);
   for (uint32_t i = 0; i < n; i++) {
     harness::ClientSpec client;
     client.region = opts.site_regions[i];

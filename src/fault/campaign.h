@@ -23,6 +23,9 @@ struct RunSpec {
   uint64_t seed = 1;
   harness::Protocol protocol = harness::Protocol::kAtlas;
   uint32_t partitions = 1;
+  // Submission batching window (ClusterOptions::batch_window; only sharded
+  // replicas batch). 0 submits every command on its own.
+  common::Duration batch_window = 0;
   // When non-empty, every site persists its commit log + snapshots under
   // data_dir/site-N (see src/dur) and scheduled restarts recover from disk
   // instead of restarting with amnesia. The pack's gates are unchanged — a

@@ -496,18 +496,12 @@ chk::CheckResult Cluster::Finish(bool abort_on_error) {
         // recovery resurfaces; their digests are not comparable to full replicas.
         continue;
       }
-      if (opts_.partitions == 1) {
-        // Classic deployment: one store, engine-level executed count (as seeded).
-        checkers_[0]->OnStateDigest(p, replicas_[p]->store().StateDigest(),
-                                    replicas_[p]->stats().executed);
-      } else {
-        // Replica convergence holds per partition: replicas may interleave shard
-        // streams differently, but each (site, shard) store must match its peers
-        // that applied the same number of that shard's commands.
-        for (uint32_t s = 0; s < opts_.partitions; s++) {
-          checkers_[s]->OnStateDigest(p, replicas_[p]->store(s).StateDigest(),
-                                      replicas_[p]->applied_count(s));
-        }
+      // Replica convergence holds per partition: replicas may interleave shard
+      // streams differently, but each (site, shard) store must match its peers
+      // that applied the same number of that shard's commands.
+      for (uint32_t s = 0; s < opts_.partitions; s++) {
+        checkers_[s]->OnStateDigest(p, replicas_[p]->store(s).StateDigest(),
+                                    replicas_[p]->applied_count(s));
       }
     }
     for (auto& checker : checkers_) {

@@ -79,8 +79,9 @@ struct ClusterOptions {
 
   // Partitioned replicas: each site runs `partitions` independent engines behind a
   // smr::ShardedEngine, with per-(site, partition) stores and per-partition checkers.
-  // partitions == 1 builds exactly the classic single-engine deployment (seeded runs
-  // stay byte-identical; the determinism pins enforce this).
+  // partitions == 1 is one unbatched shard, behaviour-identical to the classic
+  // single-engine deployment (seeded runs stay byte-identical; the determinism
+  // pins enforce this).
   uint32_t partitions = 1;
   // Submission batching on sharded replicas (ignored when partitions == 1, which
   // must stay identical to the unbatched seed): commands arriving at one (site,
@@ -178,8 +179,8 @@ class Cluster {
   smr::Engine& engine(common::ProcessId p) { return replicas_[p]->engine(); }
   smr::Deployment& replica(common::ProcessId p) { return *replicas_[p]; }
   // Per-(site, partition) service replica. The one-argument form is partition 0 —
-  // the whole store in unsharded deployments. The harness always deploys the
-  // default state machine, so the KvStore downcast is safe.
+  // the whole store at P=1. The harness always deploys the default state
+  // machine, so the KvStore downcast is safe.
   const kvs::KvStore& store(common::ProcessId p, uint32_t shard = 0) const {
     return static_cast<const kvs::KvStore&>(replicas_[p]->store(shard));
   }

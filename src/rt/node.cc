@@ -262,9 +262,7 @@ void Node::MaybeStartEngine() {
   ReplayPendingPeerFrames();
   for (smr::Command& cmd : pending_submits_) {
     uint32_t shard = 0;
-    if (deployment_->partitions() > 1) {
-      deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
-    }
+    deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
     RouteInput(common::kInvalidProcess, nullptr, shard, &cmd);
   }
   pending_submits_.clear();
@@ -367,18 +365,15 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
           // kBatch is an internal composite (built by the sharded submission
           // path, client 0): an untrusted client injecting one would crash the
           // whole cluster at the deployment's unpack CHECK once it replicated.
-          // Reject it at the door, at any partition count.
-          bool unroutable = req->cmd.is_batch();
+          // Reject it at the door, at any partition count. Everything else is
+          // validated against the deployment's Partitioner before it reaches
+          // an engine: a routable command lands directly in its shard worker's
+          // inbox, and unroutable input from an untrusted client (at P>1,
+          // noOps and key sets spanning partitions) is rejected as dropped
+          // instead of CHECK-crashing the replica.
           uint32_t shard = 0;
-          if (!unroutable && deployment_->partitions() > 1) {
-            // Partition-aware routing: validate against the deployment's
-            // Partitioner before the command reaches an engine. A routable
-            // command lands directly in its shard worker's inbox. Unroutable
-            // input from an untrusted client (noOps, key sets spanning
-            // partitions) is rejected as dropped instead of CHECK-crashing the
-            // replica. P=1 submits verbatim to its one worker.
-            unroutable = !deployment_->partitioner().SingleShard(req->cmd, &shard);
-          }
+          bool unroutable = req->cmd.is_batch() ||
+                            !deployment_->partitioner().SingleShard(req->cmd, &shard);
           if (unroutable) {
             // Reply directly on this connection: going through waiting_clients_
             // could clobber an in-flight entry reusing the same (client, seq).

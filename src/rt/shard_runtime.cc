@@ -8,6 +8,7 @@
 
 #include "src/codec/codec.h"
 #include "src/common/check.h"
+#include "src/smr/batcher.h"
 
 namespace rt {
 
@@ -22,7 +23,7 @@ common::Time NowUs() {
 }  // namespace
 
 // One shard's worker: owns the shard engine, its timer wheel, its submission
-// batching state and the mailbox pair tying it to the I/O tier. It is also the
+// batcher and the mailbox pair tying it to the I/O tier. It is also the
 // engine's smr::Context — sends and completions become outbox items, timers
 // land in the worker-local wheel (engines only call the Context from within
 // their own callbacks, which all run on this thread).
@@ -32,13 +33,12 @@ class ShardRuntime::Worker final : public smr::Context {
       : owner_(owner),
         shard_(shard),
         inbox_(kMailboxCapacity),
-        outbox_(kMailboxCapacity) {
-    const smr::DeploymentOptions& d = owner_->deployment_->options();
-    // Submission batching follows smr::ShardedEngine's rule: enabled only at
-    // P > 1 (P = 1 stays the unbatched seed configuration).
-    batch_window_ = owner_->partitions_ > 1 ? d.batch_window : 0;
-    batch_max_ = d.batch_max;
-  }
+        outbox_(kMailboxCapacity),
+        batcher_(1, owner_->deployment_->batch_window(),
+                 owner_->deployment_->options().batch_max,
+                 [this](uint32_t, smr::Command cmd) {
+                   owner_->deployment_->shard_engine(shard_).Submit(std::move(cmd));
+                 }) {}
 
   Mailbox<ShardInput>& inbox() { return inbox_; }
   Mailbox<ShardOutput>& outbox() { return outbox_; }
@@ -165,7 +165,8 @@ class ShardRuntime::Worker final : public smr::Context {
 
  private:
   // Worker-local one-shot timer wheel: a binary min-heap of (deadline, token).
-  // is_flush marks the wrapper's own batch-drain timer vs engine timers.
+  // is_flush marks the batcher's window timer (token: its generation) vs
+  // engine timers.
   struct TimerEntry {
     common::Time deadline;
     uint64_t seq;  // insertion tiebreak: equal deadlines fire in set order
@@ -204,39 +205,6 @@ class ShardRuntime::Worker final : public smr::Context {
     }
   }
 
-  void SubmitLocal(smr::Command& cmd) {
-    smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
-    if (batch_window_ == 0) {
-      engine.Submit(std::move(cmd));
-      return;
-    }
-    pending_.push_back(std::move(cmd));
-    if (pending_.size() >= batch_max_) {
-      FlushBatch();
-      return;
-    }
-    if (!flush_armed_) {
-      flush_armed_ = true;
-      PushTimer(Now() + batch_window_, /*token=*/0, /*is_flush=*/true);
-    }
-  }
-
-  void FlushBatch() {
-    flush_armed_ = false;
-    if (pending_.empty()) {
-      return;
-    }
-    smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
-    if (pending_.size() == 1) {
-      engine.Submit(std::move(pending_[0]));
-    } else {
-      smr::Command batch;
-      smr::MakeBatchInto(pending_, batch_writer_, batch, &batch_pool_);
-      engine.Submit(std::move(batch));
-    }
-    pending_.clear();
-  }
-
   void ThreadMain() {
     smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
     engine.Bind(self_id_, n_, this);
@@ -257,7 +225,7 @@ class ShardRuntime::Worker final : public smr::Context {
         TimerEntry t = timers_.back();
         timers_.pop_back();
         if (t.is_flush) {
-          FlushBatch();
+          batcher_.Expire(t.token);
         } else {
           engine.OnTimer(t.token);
         }
@@ -274,7 +242,9 @@ class ShardRuntime::Worker final : public smr::Context {
             engine.OnMessage(in.from, in.m);
             break;
           case ShardInput::Kind::kSubmit:
-            SubmitLocal(in.cmd);
+            if (uint64_t generation = batcher_.Add(0, std::move(in.cmd))) {
+              PushTimer(Now() + batcher_.window(), generation, /*is_flush=*/true);
+            }
             break;
           case ShardInput::Kind::kCatchupReq:
             HandleCatchupReq(in.from, in.seq_floor, in.blob);
@@ -324,12 +294,7 @@ class ShardRuntime::Worker final : public smr::Context {
   // Worker-local state (worker thread only).
   std::vector<TimerEntry> timers_;
   uint64_t timer_seq_ = 0;
-  common::Duration batch_window_ = 0;
-  size_t batch_max_ = 64;
-  bool flush_armed_ = false;
-  std::vector<smr::Command> pending_;
-  codec::Writer batch_writer_;
-  smr::PayloadPool batch_pool_;
+  smr::Batcher batcher_;  // over this worker's one shard
   std::vector<smr::Command> exec_scratch_;
 };
 

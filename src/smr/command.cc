@@ -110,13 +110,6 @@ Command MakeRange(uint64_t client, uint64_t seq, std::string begin,
   return c;
 }
 
-Command MakeBatch(const std::vector<Command>& cmds) {
-  Command b;
-  codec::Writer w;
-  MakeBatchInto(cmds, w, b);
-  return b;
-}
-
 void MakeBatchInto(const std::vector<Command>& cmds, codec::Writer& scratch,
                    Command& out, PayloadPool* pool) {
   CHECK(!cmds.empty());
@@ -181,9 +174,9 @@ bool UnpackBatch(const Command& batch, std::vector<Command>& out) {
   out.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
     out.push_back(Command::Decode(r));
-    // Enforce MakeBatch's no-nesting invariant on the decode path too: untrusted
-    // input (the TCP runtime submits client commands verbatim) must not be able to
-    // nest batches and drive Apply/UnpackBatch into unbounded recursion.
+    // Enforce MakeBatchInto's no-nesting invariant on the decode path too:
+    // untrusted input (the TCP runtime submits client commands verbatim) must not
+    // be able to nest batches and drive Apply/UnpackBatch into unbounded recursion.
     if (!r.ok() || out.back().is_batch()) {
       out.clear();
       return false;

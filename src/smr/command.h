@@ -98,18 +98,15 @@ Command MakeNoOp();
 // Range read over [begin, end) — ordered backends only (see Op::kRange).
 Command MakeRange(uint64_t client, uint64_t seq, std::string begin, std::string end);
 
-// Builds a kBatch composite from `cmds` (none may itself be a batch or noOp). The
-// batch carries client=0/seq=0 — sub-commands keep their own (client, seq) for
-// completion routing — and the deduplicated union of sub-command keys for conflict
-// detection.
-Command MakeBatch(const std::vector<Command>& cmds);
-
-// Rebuilds `out` as the kBatch composite of `cmds`, encoding through `scratch`
-// (cleared first, capacity kept). The batching hot path calls this once per flush
-// with a per-shard scratch writer, so the encode buffer never reallocates once
-// warm; `out` is fully overwritten. With `pool` set, the composite payload lands
-// in a recycled PayloadPool buffer instead of a fresh string — the last
-// per-flush allocation on the batching hot path (pinned by alloc_test).
+// Rebuilds `out` as the kBatch composite of `cmds` (none may itself be a batch or
+// noOp). The batch carries client=0/seq=0 — sub-commands keep their own (client,
+// seq) for completion routing — and the deduplicated union of sub-command keys for
+// conflict detection. Encodes through `scratch` (cleared first, capacity kept);
+// smr::Batcher calls this once per flush with its reused writer, so the encode
+// buffer never reallocates once warm; `out` is fully overwritten. With `pool` set,
+// the composite payload lands in a recycled PayloadPool buffer instead of a fresh
+// string — the last per-flush allocation on the batching hot path (pinned by
+// alloc_test).
 void MakeBatchInto(const std::vector<Command>& cmds, codec::Writer& scratch,
                    Command& out, PayloadPool* pool = nullptr);
 

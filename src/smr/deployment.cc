@@ -91,24 +91,9 @@ std::unique_ptr<Engine> MakeProtocolEngine(const DeploymentOptions& o) {
 }  // namespace
 
 Deployment::Deployment(DeploymentOptions opts)
-    : opts_(std::move(opts)), partitioner_(opts_.partitions) {
-  CHECK_GE(opts_.partitions, 1u);
-  CHECK_LE(opts_.partitions, ShardedEngine::kMaxPartitions);
-  if (opts_.partitions == 1) {
-    // Classic single-engine replica: exactly the seeded deployment, no wrapper in
-    // the message path (the determinism pins rely on this).
-    engine_ = MakeProtocolEngine(opts_);
-  } else {
-    ShardedOptions so;
-    so.partitions = opts_.partitions;
-    so.batch_window = opts_.batch_window;
-    so.batch_max = opts_.batch_max;
-    auto sharded = std::make_unique<ShardedEngine>(
-        so, [this](uint32_t) { return MakeProtocolEngine(opts_); });
-    sharded_ = sharded.get();
-    engine_ = std::move(sharded);
-  }
-  CHECK(engine_ != nullptr);
+    : opts_(std::move(opts)),
+      engine_(ShardedOptions{opts_.partitions, batch_window(), opts_.batch_max},
+              [this](uint32_t) { return MakeProtocolEngine(opts_); }) {
   for (uint32_t s = 0; s < opts_.partitions; s++) {
     stores_.push_back(opts_.state_machine_factory != nullptr
                           ? opts_.state_machine_factory()
@@ -150,27 +135,6 @@ Deployment::Deployment(DeploymentOptions opts)
 }
 
 Deployment::~Deployment() = default;
-
-EngineStats Deployment::shard_stats(uint32_t shard) const {
-  CHECK_LT(shard, opts_.partitions);
-  return sharded_ != nullptr ? sharded_->shard_stats(shard) : engine_->stats();
-}
-
-Engine& Deployment::shard_engine(uint32_t shard) {
-  CHECK_LT(shard, opts_.partitions);
-  return sharded_ != nullptr ? sharded_->shard(shard) : *engine_;
-}
-
-const Engine& Deployment::shard_engine(uint32_t shard) const {
-  CHECK_LT(shard, opts_.partitions);
-  return sharded_ != nullptr ? sharded_->shard(shard) : *engine_;
-}
-
-void Deployment::FlushAll() {
-  if (sharded_ != nullptr) {
-    sharded_->FlushAll();
-  }
-}
 
 std::vector<RestartHint> Deployment::RestartHints() const {
   std::vector<RestartHint> hints;

@@ -4,21 +4,22 @@
 // component. The sans-I/O engines honor that, but until this layer existed the
 // *assembly* of a replica — which protocol engine to build, whether to shard it,
 // how to wire per-shard stores, stats and submission batching — was duplicated
-// between the simulator harness and the TCP runtime (and the TCP runtime only knew
-// how to run a single bare engine). Deployment is the single construction site:
+// between the simulator harness and the TCP runtime. Deployment is the single
+// construction site:
 //
-//   * P == 1: a bare protocol engine, byte-identical to the seeded single-engine
-//     replica (no wrapper in the message path, no batching — the determinism pins
-//     rely on this);
-//   * P > 1: a smr::ShardedEngine multiplexing P per-partition engines, each with
-//     its own dot space/conflict index/executor, plus per-shard service replicas
-//     (kvs::KvStore by default), per-shard applied counts and submission batching.
+//   * every replica is a smr::ShardedEngine multiplexing P per-partition engines,
+//     each with its own dot space/conflict index/executor, plus per-shard service
+//     replicas (kvs::KvStore by default), per-shard applied counts and submission
+//     batching;
+//   * P == 1 is one shard with no batching, behaviour-identical to the seeded
+//     single-engine replica (the determinism pins rely on this).
 //
-// Drivers (sim::Simulator via harness::Cluster, rt::Node's shard workers over TCP)
-// talk to the assembled replica exclusively through the smr::Engine/Context
-// interfaces, and use the unpack helpers here to demultiplex executed/committed/
-// dropped commands — including kBatch composites — back to per-shard stores and
-// per-client completions.
+// Drivers (sim::Simulator via harness::Cluster through engine(), rt::Node's shard
+// workers over TCP through shard_engine(s), which each bind directly) talk to the
+// assembled replica exclusively through the smr::Engine/Context interfaces, and
+// use the unpack helpers here to demultiplex executed/committed/dropped commands
+// — including kBatch composites — back to per-shard stores and per-client
+// completions.
 // Compartmentalization (Whittaker et al.) calls this decoupling of replica roles
 // from deployment shape the enabler for deployment-side scaling; every future
 // deployment feature (membership, reconnection, multi-backend storage) lands here
@@ -79,10 +80,10 @@ struct DeploymentOptions {
   common::Duration revoke_retry_interval = 0;  // Mencius revocation pacing
 
   // Partitioned replica: `partitions` independent engines behind a ShardedEngine,
-  // with per-(node, partition) stores. 1 builds the classic bare-engine replica.
+  // with per-(node, partition) stores. 1 is the classic one-engine replica.
   uint32_t partitions = 1;
   // Submission batching on sharded replicas (ignored at partitions == 1, which
-  // must stay identical to the unbatched seed).
+  // must stay identical to the unbatched seed; see Deployment::batch_window()).
   common::Duration batch_window = 0;
   size_t batch_max = 64;
 
@@ -111,16 +112,22 @@ class Deployment {
   explicit Deployment(DeploymentOptions opts);
   ~Deployment();
 
-  // The replica's engine: bare at P=1, the ShardedEngine wrapper at P>1. Drivers
-  // Bind/OnStart/Submit/OnMessage/OnTimer through this single object; sharded
-  // deployments keep the shard tag on messages and timer tokens end-to-end.
-  Engine& engine() { return *engine_; }
-  const Engine& engine() const { return *engine_; }
+  // The replica's engine, a ShardedEngine at every P. Drivers Bind/OnStart/
+  // Submit/OnMessage/OnTimer through this single object, which keeps the shard
+  // tag on messages and timer tokens end-to-end.
+  Engine& engine() { return engine_; }
+  const Engine& engine() const { return engine_; }
 
   uint32_t partitions() const { return opts_.partitions; }
   Protocol protocol() const { return opts_.protocol; }
-  const Partitioner& partitioner() const { return partitioner_; }
+  const Partitioner& partitioner() const { return engine_.partitioner(); }
   const DeploymentOptions& options() const { return opts_; }
+
+  // The submission batching window every driver of this replica uses: the
+  // configured one at P > 1, and 0 at P = 1, which stays the unbatched seed.
+  common::Duration batch_window() const {
+    return opts_.partitions > 1 ? opts_.batch_window : 0;
+  }
 
   // Per-shard service replica and its applied-command count (non-noop commands,
   // the per-shard executed_count used for digest comparability between replicas).
@@ -135,14 +142,11 @@ class Deployment {
 
   // Engine stats: aggregate over the replica, and per partition. shard_engine
   // exposes the inner engine for protocol-specific introspection (downcasts in
-  // benches/tests); at P=1 shard 0 is the bare engine itself.
-  EngineStats stats() const { return engine_->stats(); }
-  EngineStats shard_stats(uint32_t shard) const;
-  Engine& shard_engine(uint32_t shard);
-  const Engine& shard_engine(uint32_t shard) const;
-
-  // Flushes pending submission batches (tests / drain); no-op on bare replicas.
-  void FlushAll();
+  // benches/tests) and for the runtime's shard workers, which bind it directly.
+  EngineStats stats() const { return engine_.stats(); }
+  EngineStats shard_stats(uint32_t shard) const { return shard_engine(shard).stats(); }
+  Engine& shard_engine(uint32_t shard) { return engine_.shard(shard); }
+  const Engine& shard_engine(uint32_t shard) const { return engine_.shard(shard); }
 
   // Restart plumbing (crash/recovery drivers). RestartHints reads the per-shard
   // stable-storage floors off a dying replica; ApplyRestartHints seeds them into the
@@ -191,12 +195,11 @@ class Deployment {
 
   // ApplyExecutedShard for a driver of engine(), called from within its
   // Executed callback: the shard is the one the ShardedEngine reports as
-  // delivering the callback (0 at P=1), read once on entry. The deployment's
+  // delivering the callback, read once on entry. The deployment's
   // own unpack scratch is reused across calls.
   template <class Fn>
   void ApplyExecuted(const common::Dot& dot, const Command& cmd, Fn&& fn) {
-    uint32_t shard = sharded_ != nullptr ? sharded_->executing_shard() : 0;
-    ApplyExecutedShard(shard, dot, cmd, exec_scratch_, fn);
+    ApplyExecutedShard(engine_.executing_shard(), dot, cmd, exec_scratch_, fn);
   }
 
   // The one apply body. Applies a command executed by shard `shard`'s engine
@@ -282,9 +285,7 @@ class Deployment {
   }
 
   DeploymentOptions opts_;
-  Partitioner partitioner_;
-  std::unique_ptr<Engine> engine_;
-  ShardedEngine* sharded_ = nullptr;  // engine_ downcast when partitions > 1
+  ShardedEngine engine_;
   std::vector<std::unique_ptr<StateMachine>> stores_;
   std::unique_ptr<std::atomic<uint64_t>[]> applied_counts_;
   std::vector<Command> exec_scratch_;    // kBatch unpack reuse (execute path)

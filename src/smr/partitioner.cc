@@ -25,6 +25,10 @@ uint32_t Partitioner::ShardOf(const Command& cmd) const {
 }
 
 bool Partitioner::SingleShard(const Command& cmd, uint32_t* shard) const {
+  if (partitions_ == 1) {
+    *shard = 0;  // one partition holds every key, and a noOp conflicts only there
+    return true;
+  }
   if (cmd.is_noop()) {
     return false;  // conflicts with every partition; not routable
   }

@@ -9,7 +9,8 @@
 //
 // Commands whose keys span multiple partitions cannot be ordered by one shard alone;
 // sharded deployments require shard-local commands (SingleShard reports violations,
-// ShardOf CHECK-fails on them). Cross-partition transactions are future work.
+// ShardOf CHECK-fails on them). At P=1 every command, noOps and multi-key commands
+// included, is shard-local to shard 0. Cross-partition transactions are future work.
 #ifndef SRC_SMR_PARTITIONER_H_
 #define SRC_SMR_PARTITIONER_H_
 
@@ -34,12 +35,13 @@ class Partitioner {
     return static_cast<uint32_t>(HashKey(key) % partitions_);
   }
 
-  // Shard of a command's primary key. CHECK-fails on multi-key commands that span
-  // partitions and on noOps (which conflict with everything and are created inside
-  // an engine, never routed across one).
+  // Shard of a command's primary key. At P>1, CHECK-fails on multi-key commands
+  // that span partitions and on noOps (which conflict with everything and are
+  // created inside an engine, never routed across one).
   uint32_t ShardOf(const Command& cmd) const;
 
-  // Returns true and sets *shard iff every key of cmd lives in one partition.
+  // Returns true and sets *shard iff every key of cmd lives in one partition
+  // (always shard 0 at P=1).
   bool SingleShard(const Command& cmd, uint32_t* shard) const;
 
  private:

@@ -45,17 +45,18 @@ class ShardedEngine::ShardContext final : public Context {
 };
 
 ShardedEngine::ShardedEngine(ShardedOptions opts, EngineFactory factory)
-    : opts_(opts), partitioner_(opts.partitions) {
-  CHECK_GE(opts_.partitions, 1u);
+    : opts_(opts),
+      partitioner_(opts.partitions),
+      batcher_(opts.partitions, opts.batch_window, opts.batch_max,
+               [this](uint32_t s, Command cmd) {
+                 shards_[s]->Submit(std::move(cmd));
+               }) {
   CHECK_LE(opts_.partitions, kMaxPartitions);
-  CHECK_GE(opts_.batch_max, 1u);
   CHECK(factory != nullptr);
   for (uint32_t s = 0; s < opts_.partitions; s++) {
     shards_.push_back(factory(s));
     CHECK(shards_.back() != nullptr);
   }
-  pending_.resize(opts_.partitions);
-  batch_writers_.resize(opts_.partitions);
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -76,51 +77,9 @@ void ShardedEngine::OnStart() {
 
 void ShardedEngine::Submit(Command cmd) {
   CHECK(started_);
-  CHECK(!cmd.is_batch());  // the wrapper owns batch composition
   uint32_t s = partitioner_.ShardOf(cmd);  // CHECKs shard-local keys
-  if (opts_.batch_window == 0) {
-    shards_[s]->Submit(std::move(cmd));
-    return;
-  }
-  std::vector<Command>& buf = pending_[s];
-  buf.push_back(std::move(cmd));
-  if (buf.size() >= opts_.batch_max) {
-    Flush(s);
-    return;
-  }
-  if (!drain_armed_) {
-    // First buffered command while no drain is scheduled: arm one window for the
-    // whole replica. The fire drains every shard round-robin, so P shards share
-    // one timer per window instead of arming one per shard per fresh batch
-    // (whose uncancellable stale copies flushed partial batches early — the
-    // simulated P=8 throughput regression). The generation makes stale timers
-    // exact no-ops instead of early flushes.
-    drain_armed_ = true;
-    drain_generation_++;
-    ctx_->SetTimer(opts_.batch_window, DrainToken(drain_generation_));
-  }
-}
-
-void ShardedEngine::Flush(uint32_t shard) {
-  std::vector<Command>& buf = pending_[shard];
-  if (buf.empty()) {
-    return;
-  }
-  if (buf.size() == 1) {
-    // A batch of one skips the composite wrapper: identical wire cost to unbatched
-    // submission, and per-command commit/drop semantics stay exact.
-    shards_[shard]->Submit(std::move(buf[0]));
-  } else {
-    Command batch;
-    MakeBatchInto(buf, batch_writers_[shard], batch, &batch_pool_);
-    shards_[shard]->Submit(std::move(batch));
-  }
-  buf.clear();
-}
-
-void ShardedEngine::FlushAll() {
-  for (uint32_t s = 0; s < opts_.partitions; s++) {
-    Flush(s);
+  if (uint64_t generation = batcher_.Add(s, std::move(cmd))) {
+    ctx_->SetTimer(batcher_.window(), DrainToken(generation));
   }
 }
 
@@ -133,11 +92,7 @@ void ShardedEngine::OnMessage(common::ProcessId from, const msg::Message& m) {
 
 void ShardedEngine::OnTimer(uint64_t token) {
   if ((token & 1) == 0) {
-    if ((token >> 1) != drain_generation_ || !drain_armed_) {
-      return;  // stale drain timer from an earlier arming; current one still runs
-    }
-    drain_armed_ = false;
-    FlushAll();
+    batcher_.Expire(token >> 1);
     return;
   }
   uint64_t t = token >> 1;

@@ -20,10 +20,11 @@
 //
 // Submission batching rides the same multiplexer: with a batch window configured,
 // commands routed to one shard within the window coalesce into a single kBatch
-// composite command — one dot and one protocol round for the whole batch — which is
-// what keeps cross-shard fan-out from multiplying message count. P=1 without
-// batching is byte-identical to running the inner engine directly (the harness
-// builds unsharded engines in that case; the equivalence is pinned by tests).
+// composite command (smr::Batcher) — one dot and one protocol round for the whole
+// batch — which is what keeps cross-shard fan-out from multiplying message count.
+// P=1 without batching is behaviour-identical to running the inner engine directly:
+// smr::Deployment builds every replica this way, P=1 included, and the equivalence
+// is pinned by tests.
 #ifndef SRC_SMR_SHARDED_ENGINE_H_
 #define SRC_SMR_SHARDED_ENGINE_H_
 
@@ -31,9 +32,9 @@
 #include <memory>
 #include <vector>
 
-#include "src/codec/codec.h"
 #include "src/common/types.h"
 #include "src/msg/message.h"
+#include "src/smr/batcher.h"
 #include "src/smr/engine.h"
 #include "src/smr/partitioner.h"
 
@@ -42,9 +43,10 @@ namespace smr {
 struct ShardedOptions {
   uint32_t partitions = 1;  // 1..kMaxPartitions
 
-  // Submission batching: 0 disables (every Submit goes straight to its shard).
-  // Otherwise commands buffer per shard and flush as one kBatch when the window
-  // elapses or batch_max commands accumulate, whichever comes first.
+  // Submission batching (smr::Batcher): 0 disables (every Submit goes straight
+  // to its shard). Otherwise commands buffer per shard and flush as one kBatch
+  // when the replica's window elapses or batch_max commands accumulate,
+  // whichever comes first.
   common::Duration batch_window = 0;
   size_t batch_max = 64;
 };
@@ -76,10 +78,6 @@ class ShardedEngine final : public Engine {
   const Partitioner& partitioner() const { return partitioner_; }
   Engine& shard(uint32_t s) { return *shards_[s]; }
   const Engine& shard(uint32_t s) const { return *shards_[s]; }
-  EngineStats shard_stats(uint32_t s) const { return shards_[s]->stats(); }
-
-  // Flushes every pending submission batch immediately (tests / drain).
-  void FlushAll();
 
   // The partition whose inner engine delivered the latest Executed callback.
   // Read it on entry to the callback: dot spaces are per shard, so a driver
@@ -98,30 +96,11 @@ class ShardedEngine final : public Engine {
     return (((token << kShardBits) | shard) << 1) | 1;
   }
 
-  void Flush(uint32_t shard);
-
   ShardedOptions opts_;
   Partitioner partitioner_;
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<std::unique_ptr<ShardContext>> contexts_;
-  // Per-shard submission buffers (batching mode); cleared (capacity kept) on flush.
-  std::vector<std::vector<Command>> pending_;
-  // Per-shard kBatch encode scratch (MakeBatchInto): the composite's payload is
-  // encoded through a reused writer so flushing never regrows a fresh buffer
-  // (ROADMAP known-allocation, pinned by alloc_test).
-  std::vector<codec::Writer> batch_writers_;
-  // Recycled buffers for the composite payloads themselves: the one string a
-  // flush still assigned lands in a pooled refcounted buffer that is reused
-  // once the batch command's copies die (pinned by alloc_test).
-  PayloadPool batch_pool_;
-  // Single round-robin drain timer for all shards: armed by the first command
-  // buffered anywhere while unarmed, it flushes every shard's pending batch
-  // when it fires. One timer per window regardless of P — per-shard windows
-  // armed one timer per fresh batch per shard, and their uncancellable stale
-  // timers chopped high-P batches into fragments (the simulated-P=8 regression
-  // this replaces). The generation in the token discards stale timers exactly.
-  uint64_t drain_generation_ = 0;
-  bool drain_armed_ = false;
+  Batcher batcher_;  // over all shards: one drain timer per window at any P
   bool started_ = false;
   uint32_t executing_shard_ = 0;  // see executing_shard()
 };

@@ -341,7 +341,7 @@ TEST(AllocTest, DecidedLogRecordAfterWrapIsAllocationFree) {
 }
 
 // Pins the kBatch encode-scratch reuse (ROADMAP known-allocation): flushing a
-// submission batch encodes through the shard's reused writer, so steady-state
+// submission batch encodes through the batcher's reused writer, so steady-state
 // flushes allocate only the composite's own payload string and key-union vector,
 // not a fresh growth sequence of encode buffers per flush.
 TEST(AllocTest, BatchEncodeReusesPerShardScratch) {

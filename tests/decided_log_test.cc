@@ -10,13 +10,22 @@
 #include <string>
 #include <vector>
 
+#include "src/codec/codec.h"
 #include "src/common/rng.h"
+#include "src/smr/command.h"
 
 namespace smr {
 namespace {
 
 using common::DepSet;
 using common::Dot;
+
+Command MakeBatch(const std::vector<Command>& subs) {
+  Command batch;
+  codec::Writer scratch;
+  MakeBatchInto(subs, scratch, batch);
+  return batch;
+}
 
 void ExpectSameCommand(const Command& got, const Command& want) {
   EXPECT_EQ(got.client, want.client);

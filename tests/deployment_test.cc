@@ -1,9 +1,10 @@
 // Replica assembly (smr::Deployment): the single construction site both drivers
 // (simulator harness, TCP runtime) build replicas through.
 //
-//  * P=1 assembly is byte-identical to hand-built seed engines: a seeded run
-//    produces exactly the same message/byte/stats counters (extending the
-//    determinism pins, which run the full harness through Deployment);
+//  * P=1 assembly (a one-shard ShardedEngine) is byte-identical to hand-built
+//    seed engines for every protocol: a seeded run produces exactly the same
+//    message/byte/stats counters (extending the determinism pins, which run the
+//    full harness through Deployment);
 //  * P>1 assembly is identical to a hand-rolled ShardedEngine;
 //  * executed/committed/dropped demultiplexing unpacks kBatch composites onto
 //    the store of the shard whose engine executed them, with correct applied
@@ -20,9 +21,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/codec/codec.h"
 #include "src/common/rng.h"
 #include "src/core/atlas.h"
+#include "src/epaxos/epaxos.h"
+#include "src/mencius/mencius.h"
 #include "src/msg/message.h"
+#include "src/paxos/multipaxos.h"
 #include "src/sim/simulator.h"
 #include "src/smr/sharded_engine.h"
 
@@ -38,39 +43,67 @@ struct Counters {
 
 enum class Build { kBareSeed, kHandRolledSharded, kDeployment };
 
-// Drives a 3-site Atlas triad with a seeded submission mix and returns its
-// counters. kBareSeed constructs engines exactly as the seed did; kDeployment
-// goes through the assembly layer; kHandRolledSharded wires a ShardedEngine by
-// hand (what harness/cluster.cc used to do before Deployment).
-Counters RunTriad(Build build, uint32_t partitions) {
+// One protocol engine of a 3-site, f=1 triad, constructed exactly as the seed
+// did: each protocol's own Config defaults.
+std::unique_ptr<smr::Engine> MakeSeedEngine(smr::Protocol protocol) {
+  switch (protocol) {
+    case smr::Protocol::kAtlas: {
+      atlas::Config cfg;
+      cfg.n = 3;
+      cfg.f = 1;
+      return std::make_unique<atlas::AtlasEngine>(cfg);
+    }
+    case smr::Protocol::kEPaxos: {
+      epaxos::Config cfg;
+      cfg.n = 3;
+      return std::make_unique<epaxos::EPaxosEngine>(cfg);
+    }
+    case smr::Protocol::kFPaxos:
+    case smr::Protocol::kPaxos: {
+      paxos::Config cfg;
+      cfg.n = 3;
+      cfg.f = 1;
+      cfg.mode = protocol == smr::Protocol::kFPaxos ? paxos::QuorumMode::kFlexible
+                                                    : paxos::QuorumMode::kClassic;
+      return std::make_unique<paxos::PaxosEngine>(cfg);
+    }
+    case smr::Protocol::kMencius: {
+      mencius::Config cfg;
+      cfg.n = 3;
+      return std::make_unique<mencius::MenciusEngine>(cfg);
+    }
+  }
+  return nullptr;
+}
+
+// Drives a 3-site triad of `protocol` with a seeded submission mix and returns
+// its counters. kBareSeed constructs engines exactly as the seed did;
+// kDeployment goes through the assembly layer; kHandRolledSharded wires a
+// ShardedEngine by hand (what harness/cluster.cc used to do before Deployment).
+Counters RunTriad(Build build, uint32_t partitions,
+                  smr::Protocol protocol = smr::Protocol::kAtlas) {
   sim::Simulator::Options opts;
   opts.seed = 99;
   sim::Simulator sim(std::make_unique<sim::UniformLatency>(10 * common::kMillisecond,
                                                            common::kMillisecond),
                      opts);
-  auto make_atlas = [] {
-    atlas::Config cfg;
-    cfg.n = 3;
-    cfg.f = 1;
-    return std::make_unique<atlas::AtlasEngine>(cfg);
-  };
   std::vector<std::unique_ptr<smr::Engine>> engines;
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (int i = 0; i < 3; i++) {
     switch (build) {
       case Build::kBareSeed:
-        engines.push_back(make_atlas());
+        engines.push_back(MakeSeedEngine(protocol));
         break;
       case Build::kHandRolledSharded: {
         smr::ShardedOptions so;
         so.partitions = partitions;
         engines.push_back(std::make_unique<smr::ShardedEngine>(
-            so, [&make_atlas](uint32_t) { return make_atlas(); }));
+            so, [protocol](uint32_t) { return MakeSeedEngine(protocol); }));
         break;
       }
       case Build::kDeployment: {
         smr::DeploymentOptions d;
-        d.protocol = smr::Protocol::kAtlas;
+        d.protocol = protocol;
         d.n = 3;
         d.f = 1;
         d.partitions = partitions;
@@ -125,17 +158,37 @@ void ExpectSameCounters(const Counters& a, const Counters& b) {
   }
 }
 
-TEST(DeploymentTest, P1AssemblyMatchesSeedEnginesExactly) {
-  Counters bare = RunTriad(Build::kBareSeed, 1);
-  Counters assembled = RunTriad(Build::kDeployment, 1);
+// Every protocol runs behind the one-shard wrapper at P=1, so each must match
+// its bare seed engines exactly.
+class DeploymentP1Test : public ::testing::TestWithParam<smr::Protocol> {};
+
+TEST_P(DeploymentP1Test, P1AssemblyMatchesSeedEnginesExactly) {
+  Counters bare = RunTriad(Build::kBareSeed, 1, GetParam());
+  Counters assembled = RunTriad(Build::kDeployment, 1, GetParam());
   ExpectSameCounters(bare, assembled);
   EXPECT_GT(bare.per_site[0].committed, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    DeploymentTest, DeploymentP1Test,
+    ::testing::Values(smr::Protocol::kAtlas, smr::Protocol::kEPaxos,
+                      smr::Protocol::kFPaxos, smr::Protocol::kPaxos,
+                      smr::Protocol::kMencius),
+    [](const ::testing::TestParamInfo<smr::Protocol>& info) {
+      return std::string(smr::ProtocolName(info.param));
+    });
 
 TEST(DeploymentTest, ShardedAssemblyMatchesHandRolledShardedEngine) {
   Counters hand = RunTriad(Build::kHandRolledSharded, 4);
   Counters assembled = RunTriad(Build::kDeployment, 4);
   ExpectSameCounters(hand, assembled);
+}
+
+smr::Command MakeBatch(const std::vector<smr::Command>& subs) {
+  smr::Command batch;
+  codec::Writer scratch;
+  smr::MakeBatchInto(subs, scratch, batch);
+  return batch;
 }
 
 // Stands in for a driver of one replica (process 0 of 3): every Executed
@@ -207,7 +260,7 @@ TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
   std::vector<smr::Command> subs;
   subs.push_back(smr::MakeRmw(2, 1, key_a, "+1"));
   subs.push_back(smr::MakeRmw(2, 2, key_a, "+2"));
-  driver.Commit(shard_a, common::Dot{1, 2}, smr::MakeBatch(subs));
+  driver.Commit(shard_a, common::Dot{1, 2}, MakeBatch(subs));
 
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[0].first, shard_a);
@@ -292,7 +345,7 @@ TEST(DeploymentTest, ForEachCommittedAndDroppedUnpackBatches) {
   std::vector<smr::Command> subs;
   subs.push_back(smr::MakePut(1, 1, "x", "1"));
   subs.push_back(smr::MakePut(2, 7, "x", "2"));
-  smr::Command batch = smr::MakeBatch(subs);
+  smr::Command batch = MakeBatch(subs);
 
   std::vector<smr::Command> committed;
   dep.ForEachCommitted(batch,

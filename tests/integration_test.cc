@@ -190,7 +190,8 @@ TEST(CrashIntegrationTest, PaxosLeaderFailoverUnderLoad) {
   // A new leader took over.
   bool leader_alive = false;
   for (uint32_t p = 1; p < 3; p++) {
-    if (static_cast<paxos::PaxosEngine&>(cluster.engine(p)).IsLeader()) {
+    if (static_cast<paxos::PaxosEngine&>(cluster.replica(p).shard_engine(0))
+            .IsLeader()) {
       leader_alive = true;
     }
   }

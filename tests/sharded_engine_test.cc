@@ -85,6 +85,28 @@ TEST(PartitionerTest, SingleShardCommands) {
   EXPECT_FALSE(part.SingleShard(split, &shard));
 }
 
+// At P=1 the one partition holds every key, so commands a sharded replica
+// rejects route to shard 0 (every protocol runs behind the one-shard wrapper).
+TEST(PartitionerTest, P1RoutesNoOpsAndMultiKeyCommandsToShardZero) {
+  smr::Command multi = smr::MakePut(1, 1, "a", "v");
+  multi.op = smr::Op::kMPut;
+  for (int i = 0; i < 16; i++) {
+    multi.more_keys.push_back("key" + std::to_string(i));
+  }
+  uint32_t shard = 0;
+  ASSERT_FALSE(smr::Partitioner(8).SingleShard(multi, &shard));
+
+  smr::Partitioner one(1);
+  shard = 77;
+  ASSERT_TRUE(one.SingleShard(smr::MakeNoOp(), &shard));
+  EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(one.ShardOf(smr::MakeNoOp()), 0u);
+  shard = 77;
+  ASSERT_TRUE(one.SingleShard(multi, &shard));
+  EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(one.ShardOf(multi), 0u);
+}
+
 // Drives a 3-site Atlas deployment and returns its counters. `partitions == 0`
 // means "no wrapper": the engines run bare, exactly as the seeded harness builds
 // them. Otherwise each site runs a ShardedEngine with that many partitions (no

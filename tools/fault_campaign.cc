@@ -7,6 +7,7 @@
 //   fault_campaign --pack all --seeds 5 --protocol all
 //   fault_campaign --smoke        # CI preset: 2 seeds x all packs x atlas, P=1
 //   fault_campaign --smoke --protocol all  # the preset with any flag overridden
+//   fault_campaign --smoke --protocol all --partitions 4 --batch-window-ms 2
 //
 // Exit status is nonzero iff any run failed a gate.
 
@@ -27,9 +28,12 @@ void PrintUsage() {
       stderr,
       "usage: fault_campaign [--pack NAME|all] [--seed S] [--seeds N]\n"
       "                      [--protocol atlas|epaxos|mencius|all] [--partitions P]\n"
-      "                      [--data-dir DIR] [--smoke] [--list]\n"
+      "                      [--batch-window-ms W] [--data-dir DIR] [--smoke]\n"
+      "                      [--list]\n"
       "  --seed S       first seed (default 1)\n"
       "  --seeds N      sweep N consecutive seeds starting at --seed (default 1)\n"
+      "  --batch-window-ms W  submission batching window in ms (default 0: off;\n"
+      "                 only sharded replicas, --partitions > 1, batch)\n"
       "  --data-dir DIR persist commit logs + snapshots per tuple under DIR;\n"
       "                 scheduled restarts recover from disk (see src/dur)\n"
       "  --smoke        CI preset: all packs, 2 seeds, atlas, P=1; other flags\n"
@@ -43,6 +47,7 @@ struct Args {
   std::optional<uint64_t> seeds;  // unset: 1, or 2 under --smoke
   std::string protocol = "atlas";
   uint32_t partitions = 1;
+  uint64_t batch_window_ms = 0;
   std::string data_dir;
   // The CI preset differs from the defaults only in its seed count, and fills in
   // only what the command line left unset, so flag order does not matter.
@@ -80,6 +85,10 @@ bool Parse(int argc, char** argv, Args& args) {
       const char* v = next("--partitions");
       if (v == nullptr) return false;
       args.partitions = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+    } else if (a == "--batch-window-ms") {
+      const char* v = next("--batch-window-ms");
+      if (v == nullptr) return false;
+      args.batch_window_ms = std::strtoull(v, nullptr, 10);
     } else if (a == "--data-dir") {
       const char* v = next("--data-dir");
       if (v == nullptr) return false;
@@ -153,6 +162,7 @@ int main(int argc, char** argv) {
         spec.seed = args.seed + s;
         spec.protocol = protocol;
         spec.partitions = args.partitions;
+        spec.batch_window = args.batch_window_ms * common::kMillisecond;
         spec.data_dir = args.data_dir;
         fault::RunResult r = fault::RunScenario(spec);
         runs++;

@@ -18,53 +18,25 @@ AtlasEngine::AtlasEngine(Config config)
       executor_(exec::BatchOrder::kDot,
                 [this](const Dot& dot, const smr::Command& cmd) {
                   OnExecuteFromGraph(dot, cmd);
-                }) {
+                }),
+      recovery_(config.recovery) {
   config_.Validate();
 }
 
 void AtlasEngine::OnStart() {
-  if (config_.by_proximity.empty()) {
-    for (ProcessId p = 0; p < n_; p++) {
-      if (p != self_) {
-        config_.by_proximity.push_back(p);
-      }
-    }
-  }
-  CHECK_EQ(config_.by_proximity.size(), static_cast<size_t>(n_) - 1);
   CHECK_EQ(config_.n, n_);
-  commit_horizon_.assign(n_, 0);
+  recovery_.Start(ctx_, self_, n_);
 }
 
 Quorum AtlasEngine::PickFastQuorum(bool nfr_read) const {
   // Fast quorum: self plus the closest responsive peers, size floor(n/2)+f (line 4),
   // or a plain majority for NFR reads (§4).
   size_t size = nfr_read ? config_.MajoritySize() : config_.FastQuorumSize();
-  return PickQuorum(size);
+  return recovery_.PickQuorum(size);
 }
 
-Quorum AtlasEngine::PickSlowQuorum() const { return PickQuorum(config_.SlowQuorumSize()); }
-
-Quorum AtlasEngine::PickQuorum(size_t size) const {
-  Quorum q;
-  q.Add(self_);
-  // Prefer the closest non-suspected peers; fall back to suspected ones if fewer than
-  // `size` responsive processes remain (the protocol then blocks, which is the
-  // documented behaviour when more than f sites are unreachable).
-  for (ProcessId p : config_.by_proximity) {
-    if (q.size() >= size) {
-      return q;
-    }
-    if (suspected_.count(p) == 0) {
-      q.Add(p);
-    }
-  }
-  for (ProcessId p : config_.by_proximity) {
-    if (q.size() >= size) {
-      break;
-    }
-    q.Add(p);
-  }
-  return q;
+Quorum AtlasEngine::PickSlowQuorum() const {
+  return recovery_.PickQuorum(config_.SlowQuorumSize());
 }
 
 bool AtlasEngine::CommittedOrExecuted(const Dot& dot) const {
@@ -117,9 +89,7 @@ void AtlasEngine::Submit(smr::Command cmd) {
     }
   }
   SendTo(self_, collect);
-  if (config_.commit_timeout > 0) {
-    ctx_->SetTimer(config_.commit_timeout, (dot.seq << 2) | kCommitTimeoutToken);
-  }
+  recovery_.ArmCommitTimeout(dot);
 }
 
 void AtlasEngine::HandleMCollect(ProcessId from, const msg::MCollect& m) {
@@ -130,7 +100,7 @@ void AtlasEngine::HandleMCollect(ProcessId from, const msg::MCollect& m) {
   if (m.dot.proc != self_) {
     // Fast-quorum member: watch for the commit so a lost MCommit (or a partitioned
     // coordinator) cannot leave this command pending here forever.
-    ArmWatch(m.dot, info);
+    recovery_.Watch(m.dot, info.mark);
   }
   // Line 8: dep[id] <- conflicts(c) ∪ past, collected straight into the per-command
   // state (no temporary set).
@@ -334,7 +304,7 @@ void AtlasEngine::HandleMCommit(ProcessId from, const msg::MCommit& m) {
   // decided log; any other fails the MRec's ballot precondition and drops it. Until
   // then the dot is pending here like any other, so the watch and the recovery scan
   // still cover a lost reply.
-  ArmWatch(m.dot, GetInfo(m.dot));
+  recovery_.Watch(m.dot, GetInfo(m.dot).mark);
   msg::MRec fetch;
   fetch.dot = m.dot;
   SendTo(from, fetch);
@@ -373,54 +343,10 @@ void AtlasEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd, const Dep
     // payload: it will never execute under this dot. The driver may resubmit.
     ctx_->Dropped(dot, info.submitted_cmd);
   }
-  // Every dependency must eventually commit for `dot` to execute; make sure we track
-  // unknown dependencies so the recovery scan can find them if their coordinator
-  // fails. Inserting may rehash infos_, so `info` is dead from here on.
-  for (const Dot& dep : commit_deps_scratch_) {
-    if (!CommittedOrExecuted(dep)) {
-      Info& di = GetInfo(dep);
-      // A committed command is blocked on this dependency; if its commit never
-      // arrives (lost on the wire), the watch recovers it without requiring the
-      // coordinator to be suspected.
-      ArmWatch(dep, di);
-      bool needs_scan = suspected_.count(dep.proc) > 0;
-      if (!peer_floors_.empty()) {
-        auto it = peer_floors_.find(dep.proc);
-        if (it != peer_floors_.end() && dep.seq < it->second) {
-          // Dependency owned by a dead incarnation: nobody will finish it for us.
-          di.orphaned = true;
-          any_orphaned_ = true;
-          needs_scan = true;
-        }
-      }
-      if (restarted_) {
-        if (di.next_recovery_at == 0) {
-          // Grace before this engine recovers it: the dep may simply be in flight.
-          di.next_recovery_at = ctx_->Now() + config_.recovery_retry_interval;
-        }
-        needs_scan = true;
-      }
-      if (needs_scan) {
-        ArmScanTimer();
-      }
-    }
-  }
-  // Identifier-space gap watch: per-process identifiers are dense, so committing q:s
-  // while earlier identifiers of q are unknown here means their commits were lost
-  // (e.g. dropped across a partition). Watch them all *now* — per-process-compressed
-  // dependency sets only reveal the newest missing identifier, so waiting for dep
-  // chains would recover one identifier per commit_timeout and wedge the executor
-  // for gap×timeout (tens of seconds after a few seconds of partition).
-  if (config_.commit_timeout > 0 && dot.proc != self_) {
-    uint64_t& horizon = commit_horizon_[dot.proc];
-    for (uint64_t s = dot.seq; s > horizon + 1;) {
-      Dot missing{dot.proc, --s};
-      if (!CommittedOrExecuted(missing)) {
-        ArmWatch(missing, GetInfo(missing));
-      }
-    }
-    horizon = std::max(horizon, dot.seq);
-  }
+  // Dependency tracking and the gap watch. Inserting may rehash infos_, so `info` is
+  // dead from here on.
+  recovery_.OnCommit(dot, commit_deps_scratch_, infos_,
+                     [this](const Dot& d) { return CommittedOrExecuted(d); });
   // This call may execute `dot` (and others), erasing their infos_ entries.
   executor_.Commit(dot, commit_cmd_scratch_, commit_deps_scratch_);
 }
@@ -435,9 +361,9 @@ void AtlasEngine::OnExecuteFromGraph(const Dot& dot, const smr::Command& cmd) {
 // Recovery (Algorithm 2, lines 31-53)
 // ---------------------------------------------------------------------------
 
-void AtlasEngine::Recover(const Dot& dot) {
+bool AtlasEngine::Recover(const Dot& dot) {
   if (CommittedOrExecuted(dot)) {
-    return;
+    return false;
   }
   Info& info = GetInfo(dot);
   stats_.recoveries_started++;
@@ -445,12 +371,13 @@ void AtlasEngine::Recover(const Dot& dot) {
   info.rec_ballot = b;
   info.rec_acked = Quorum();
   info.rec_acks.clear();
-  info.next_recovery_at = ctx_->Now() + config_.recovery_retry_interval;
+  recovery_.Defer(info.mark);
   msg::MRec rec;
   rec.dot = dot;
   rec.cmd = info.cmd;  // noOp unless this process saw the payload
   rec.ballot = b;
   SendAll(rec);  // line 33
+  return true;
 }
 
 void AtlasEngine::HandleMRec(ProcessId from, const msg::MRec& m) {
@@ -556,37 +483,15 @@ void AtlasEngine::HandleMRecAck(ProcessId from, const msg::MRecAck& m) {
 }
 
 void AtlasEngine::OnSuspect(ProcessId p) {
-  if (p == self_ || !suspected_.insert(p).second) {
-    return;
-  }
-  if (RecoveryScan()) {
-    ArmScanTimer();
-  }
+  recovery_.OnSuspect(p, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
 }
 
 void AtlasEngine::OnRestore(ProcessId p, uint64_t seq_floor) {
-  if (p == self_) {
-    return;
-  }
-  suspected_.erase(p);
-  uint64_t& floor = peer_floors_[p];
-  floor = std::max(floor, seq_floor);
-  // The restarted incarnation will never finish its predecessor's identifiers below
-  // the floor: keep any we know about scan-eligible.
-  std::vector<Dot> stale;
-  infos_.ForEach([&](const Dot& dot, const Info& info) {
-    if (dot.proc == p && dot.seq < seq_floor && !info.orphaned &&
-        info.phase != Phase::kCommit && info.phase != Phase::kExecute) {
-      stale.push_back(dot);
-    }
-  });
-  for (const Dot& dot : stale) {
-    GetInfo(dot).orphaned = true;
-    any_orphaned_ = true;
-  }
-  if (!stale.empty()) {
-    ArmScanTimer();
-  }
+  recovery_.OnRestore(p, seq_floor, infos_, &Decided);
+}
+
+void AtlasEngine::OnTimer(uint64_t token) {
+  recovery_.OnTimer(token, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
 }
 
 smr::RestartHint AtlasEngine::restart_hint() const {
@@ -595,103 +500,7 @@ smr::RestartHint AtlasEngine::restart_hint() const {
 
 void AtlasEngine::ApplyRestartHint(const smr::RestartHint& hint) {
   next_seq_ = std::max(next_seq_, hint.seq_floor);
-  restart_floor_ = next_seq_;
-  restarted_ = true;
-  // Old commands resurface as dependencies of new commits; the scan recovers them.
-  ArmScanTimer();
-}
-
-void AtlasEngine::ArmScanTimer() {
-  if (!scan_timer_armed_) {
-    scan_timer_armed_ = true;
-    ctx_->SetTimer(config_.recovery_scan_interval, kRecoveryScanToken);
-  }
-}
-
-void AtlasEngine::OnTimer(uint64_t token) {
-  if (token == kRecoveryScanToken) {
-    scan_timer_armed_ = false;
-    if (RecoveryScan()) {
-      ArmScanTimer();
-    }
-    return;
-  }
-  if ((token & 3) == kCommitTimeoutToken) {
-    Dot dot{self_, token >> 2};
-    if (!CommittedOrExecuted(dot)) {
-      Recover(dot);
-      ctx_->SetTimer(config_.commit_timeout, token);
-    }
-    return;
-  }
-  if ((token & 3) == kWatchToken) {
-    uint64_t packed = token >> 2;
-    Dot dot{static_cast<ProcessId>(packed >> 44), packed & ((uint64_t{1} << 44) - 1)};
-    if (!CommittedOrExecuted(dot)) {
-      // The commit outcome never reached us within the timeout: take over recovery
-      // (safe against a live coordinator — MRec runs at a higher ballot and the
-      // recovery quorum intersects the fast quorum, so a committed payload is
-      // always seen and re-proposed, never replaced by noOp).
-      Recover(dot);
-      ctx_->SetTimer(config_.commit_timeout, token);
-    }
-  }
-}
-
-void AtlasEngine::ArmWatch(const Dot& dot, Info& info) {
-  if (config_.commit_timeout <= 0 || info.watched) {
-    return;
-  }
-  CHECK_LT(dot.seq, uint64_t{1} << 44);
-  info.watched = true;
-  ctx_->SetTimer(config_.commit_timeout,
-                 (((static_cast<uint64_t>(dot.proc) << 44) | dot.seq) << 2) |
-                     kWatchToken);
-}
-
-bool AtlasEngine::RecoveryScan() {
-  if (suspected_.empty() && !restarted_ && !any_orphaned_) {
-    return false;
-  }
-  // Recover every known uncommitted command coordinated by a suspected process (or
-  // orphaned by a restart; or, on a restarted engine, any pending identifier that is
-  // not one of our own new commands). New ballots are only started if the previous
-  // attempt has had time to finish.
-  std::vector<Dot> to_recover;
-  std::vector<Dot> grace;
-  bool any_pending = false;
-  common::Time now = ctx_->Now();
-  infos_.ForEach([&](const Dot& dot, const Info& info) {
-    if (info.phase == Phase::kCommit || info.phase == Phase::kExecute) {
-      return;
-    }
-    bool direct = suspected_.count(dot.proc) > 0 || info.orphaned;
-    if (!direct && !(restarted_ &&
-                     !(dot.proc == self_ && dot.seq >= restart_floor_))) {
-      return;
-    }
-    any_pending = true;
-    if (!direct && info.next_recovery_at == 0) {
-      // Restart-driven eligibility gets a grace period: the command may simply be
-      // in flight at its live coordinator.
-      grace.push_back(dot);
-      return;
-    }
-    if (info.next_recovery_at > now) {
-      return;
-    }
-    to_recover.push_back(dot);
-  });
-  for (const Dot& dot : grace) {
-    GetInfo(dot).next_recovery_at = now + config_.recovery_retry_interval;
-  }
-  // Flat-map iteration order depends on the table layout; recover in canonical dot
-  // order so seeded crash runs stay reproducible across map implementations.
-  std::sort(to_recover.begin(), to_recover.end());
-  for (const Dot& dot : to_recover) {
-    Recover(dot);
-  }
-  return any_pending;
+  recovery_.Restarted(next_seq_);
 }
 
 // ---------------------------------------------------------------------------

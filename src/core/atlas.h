@@ -12,8 +12,7 @@
 #define SRC_CORE_ATLAS_H_
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/dep_set.h"
@@ -26,6 +25,7 @@
 #include "src/smr/conflict_index.h"
 #include "src/smr/decided_log.h"
 #include "src/smr/engine.h"
+#include "src/smr/recovery_scheduler.h"
 
 namespace atlas {
 
@@ -42,8 +42,9 @@ class AtlasEngine final : public smr::Engine {
   smr::RestartHint restart_hint() const override;
   void ApplyRestartHint(const smr::RestartHint& hint) override;
 
-  // Starts recovery of `dot` explicitly (tests / harness). No-op if already committed.
-  void Recover(const common::Dot& dot);
+  // Starts recovery of `dot` explicitly (tests / harness, and the recovery
+  // scheduler's action). No-op returning false if already committed.
+  bool Recover(const common::Dot& dot);
 
   const Config& config() const { return config_; }
 
@@ -76,12 +77,7 @@ class AtlasEngine final : public smr::Engine {
     common::Ballot rec_ballot = 0;
     common::Quorum rec_acked;
     std::vector<std::pair<common::ProcessId, msg::MRecAck>> rec_acks;
-    common::Time next_recovery_at = 0;
-    // Owned by a dead incarnation of a since-restarted process: stays eligible for
-    // the recovery scan even though its owner is no longer suspected.
-    bool orphaned = false;
-    // A commit-outcome watch timer is pending for this dot (see ArmWatch).
-    bool watched = false;
+    smr::RecoveryMark mark;
 
     // Original submitted payload (set at the initial coordinator only), used to report
     // commands that recovery replaced with noOp.
@@ -106,9 +102,10 @@ class AtlasEngine final : public smr::Engine {
   void ApplyCommit(const common::Dot& dot, const smr::Command& cmd,
                    const common::DepSet& deps, bool fast_path);
   void OnExecuteFromGraph(const common::Dot& dot, const smr::Command& cmd);
-  // Returns true while uncommitted commands owned by suspected processes remain.
-  bool RecoveryScan();
-  void ArmScanTimer();
+  // The recovery scheduler's view of an Info: committed ones are never recovered.
+  static bool Decided(const Info& info) {
+    return info.phase == Phase::kCommit || info.phase == Phase::kExecute;
+  }
 
   // DotMap references are invalidated by later inserts/erases (rehash moves slots);
   // handlers must not hold the returned reference across calls that may mutate
@@ -118,7 +115,6 @@ class AtlasEngine final : public smr::Engine {
 
   common::Quorum PickFastQuorum(bool nfr_read) const;
   common::Quorum PickSlowQuorum() const;
-  common::Quorum PickQuorum(size_t size) const;
 
   // True when the command must bypass dependency recording per NFR (§4).
   bool NfrRead(const smr::Command& cmd) const { return config_.nfr && cmd.is_read(); }
@@ -143,38 +139,14 @@ class AtlasEngine final : public smr::Engine {
   // Open-addressed flat map (see dot_map.h): per-command protocol state was the last
   // per-command node allocation on the hot path.
   common::DotMap<Info> infos_;
-  std::unordered_set<common::ProcessId> suspected_;
-  bool scan_timer_armed_ = false;
-
-  // Restart bookkeeping. A restarted engine (ApplyRestartHint) re-learns decided
-  // commands through the recovery path: every pending identifier except its own new
-  // ones is scan-eligible (with a grace period so in-flight commands commit first).
-  // peer_floors_ records restarted peers' sequence floors so their abandoned dots
-  // stay recoverable after suspicion clears (per-Info `orphaned`).
-  bool restarted_ = false;
-  uint64_t restart_floor_ = 0;
-  // Highest committed identifier seen per process; commits above the horizon arm
-  // watches on every unknown identifier in the gap (lost-commit catch-up).
-  std::vector<uint64_t> commit_horizon_;
-  bool any_orphaned_ = false;
-  std::unordered_map<common::ProcessId, uint64_t> peer_floors_;
+  // When to recover a dot: suspicion, restarts, commit timeouts and watches.
+  smr::RecoveryScheduler recovery_;
 
   // Decided (committed) values, answering late MRec/MConsensus after the command
   // executed and its Info was reclaimed. Full stability-based GC is out of scope; the
   // log makes recovery of recently executed commands exact and falls back to silence
   // (the recoverer learns from another replica) beyond its horizon.
   smr::DecidedLog decided_;
-
-  // Arms a commit-outcome watch for a dot this replica knows about but did not
-  // coordinate: if the commit has not arrived after commit_timeout (lost MCommit,
-  // partitioned coordinator), the watcher recovers the dot itself. No-op unless
-  // commit timeouts are configured, so failure-free deployments are unaffected.
-  void ArmWatch(const common::Dot& dot, Info& info);
-
-  static constexpr uint64_t kRecoveryScanToken = 1;
-  static constexpr uint64_t kCommitTimeoutToken = 2;  // low bits of per-dot timers
-  // Watch timers pack the full dot: ((proc << 44) | seq) << 2 | kWatchToken.
-  static constexpr uint64_t kWatchToken = 3;
 };
 
 }  // namespace atlas

@@ -3,11 +3,11 @@
 #define SRC_CORE_CONFIG_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/smr/conflict_index.h"
+#include "src/smr/recovery_scheduler.h"
 
 namespace atlas {
 
@@ -23,19 +23,8 @@ struct Config {
   // Dependency tracking mode (see src/smr/conflict_index.h).
   smr::IndexMode index_mode = smr::IndexMode::kCompressed;
 
-  // Peers of this process ordered by increasing network distance (self excluded).
-  // Quorums are chosen greedily from this list; when empty, id order is used.
-  std::vector<common::ProcessId> by_proximity;
-
-  // Recovery pacing: how often a replica re-scans for uncommitted commands owned by
-  // suspected processes, and the per-command gap between recovery attempts.
-  common::Duration recovery_scan_interval = 500 * common::kMillisecond;
-  common::Duration recovery_retry_interval = 1 * common::kSecond;
-
-  // When > 0, a coordinator that cannot commit its own command within this delay
-  // re-runs the recovery protocol for it (covers lost messages / transient partitions
-  // of the coordinator itself). 0 disables the timer.
-  common::Duration commit_timeout = 0;
+  // Recovery scheduling: quorum proximity, commit timeout, scan pacing.
+  smr::RecoverySettings recovery;
 
   void Validate() const {
     CHECK_GE(n, 3u);

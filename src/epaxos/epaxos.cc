@@ -20,21 +20,14 @@ EPaxosEngine::EPaxosEngine(Config config)
                   stats_.executed++;
                   infos_.Erase(dot);
                   ctx_->Executed(dot, cmd);
-                }) {
+                }),
+      recovery_(config.recovery) {
   CHECK_GE(config_.n, 3u);
 }
 
 void EPaxosEngine::OnStart() {
-  if (config_.by_proximity.empty()) {
-    for (ProcessId p = 0; p < n_; p++) {
-      if (p != self_) {
-        config_.by_proximity.push_back(p);
-      }
-    }
-  }
-  CHECK_EQ(config_.by_proximity.size(), static_cast<size_t>(n_) - 1);
   CHECK_EQ(config_.n, n_);
-  commit_horizon_.assign(n_, 0);
+  recovery_.Start(ctx_, self_, n_);
 }
 
 uint64_t EPaxosEngine::MaxConflictSeq(const DepSet& deps) const {
@@ -48,33 +41,12 @@ uint64_t EPaxosEngine::MaxConflictSeq(const DepSet& deps) const {
   return max_seq;
 }
 
-Quorum EPaxosEngine::PickQuorum(size_t size) const {
-  Quorum q;
-  q.Add(self_);
-  // Closest responsive peers first; fall back to suspected ones when short.
-  for (ProcessId p : config_.by_proximity) {
-    if (q.size() >= size) {
-      return q;
-    }
-    if (suspected_.count(p) == 0) {
-      q.Add(p);
-    }
-  }
-  for (ProcessId p : config_.by_proximity) {
-    if (q.size() >= size) {
-      break;
-    }
-    q.Add(p);
-  }
-  return q;
-}
-
 void EPaxosEngine::Submit(smr::Command cmd) {
   stats_.submitted++;
   Dot dot{self_, next_seq_++};
   bool nfr = NfrRead(cmd);
   size_t fq_size = nfr ? config_.MajoritySize() : config_.FastQuorumSize();
-  Quorum q = PickQuorum(fq_size);
+  Quorum q = recovery_.PickQuorum(fq_size);
 
   msg::EpPreAccept pre;
   pre.dot = dot;
@@ -89,9 +61,7 @@ void EPaxosEngine::Submit(smr::Command cmd) {
     }
   }
   SendTo(self_, pre);
-  if (config_.commit_timeout > 0) {
-    ctx_->SetTimer(config_.commit_timeout, (dot.seq << 2) | kCommitTimeoutToken);
-  }
+  recovery_.ArmCommitTimeout(dot);
 }
 
 void EPaxosEngine::HandlePreAccept(ProcessId from, const msg::EpPreAccept& m) {
@@ -105,7 +75,7 @@ void EPaxosEngine::HandlePreAccept(ProcessId from, const msg::EpPreAccept& m) {
   if (m.dot.proc != self_) {
     // Watch for the commit so a lost EpCommit (or a partitioned leader) cannot
     // leave this command pending here forever.
-    ArmWatch(m.dot, info);
+    recovery_.Watch(m.dot, info.mark);
   }
   // Merge the leader's deps/seq with the local view, straight into the per-command
   // state (no temporary set).
@@ -194,7 +164,7 @@ void EPaxosEngine::RunAcceptPhase(const Dot& dot, Info& info, const smr::Command
   acc.seqno = seqno;
   acc.ballot = ballot;
   // A majority acknowledgement suffices; send to the closest responsive majority.
-  Quorum q = PickQuorum(config_.MajoritySize());
+  Quorum q = recovery_.PickQuorum(config_.MajoritySize());
   for (ProcessId p : q) {
     if (p != self_) {
       SendTo(p, acc);
@@ -294,7 +264,7 @@ void EPaxosEngine::HandleCommit(ProcessId from, const msg::EpCommit& m) {
   // full commit with a ballot-0 EpPrepare. A process that decided the dot answers
   // from its decided log; any other fails the ballot precondition and drops it. The
   // watch and the recovery scan still cover a lost reply.
-  ArmWatch(m.dot, GetInfo(m.dot));
+  recovery_.Watch(m.dot, GetInfo(m.dot).mark);
   msg::EpPrepare fetch;
   fetch.dot = m.dot;
   SendTo(from, fetch);
@@ -317,55 +287,10 @@ void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,
   stats_.committed++;
   ctx_->Committed(dot, cmd, fast_path);
   decided_.Record(dot, cmd, deps, seqno);
-  // Every dependency must eventually commit for `dot` to execute; track unknown
-  // dependencies so the recovery scan can find them if their coordinator failed.
-  // Inserting may rehash infos_, so `info` is dead from here on.
-  for (const Dot& dep : deps) {
-    if (executor_.IsCommitted(dep)) {
-      continue;
-    }
-    Info& di = GetInfo(dep);
-    // A committed command is blocked on this dependency; if its commit never
-    // arrives (lost on the wire), the watch runs explicit prepare without
-    // requiring the leader to be suspected.
-    ArmWatch(dep, di);
-    bool needs_scan = suspected_.count(dep.proc) > 0;
-    if (!peer_floors_.empty()) {
-      auto it = peer_floors_.find(dep.proc);
-      if (it != peer_floors_.end() && dep.seq < it->second) {
-        // Dependency owned by a dead incarnation: nobody will finish it for us.
-        di.orphaned = true;
-        any_orphaned_ = true;
-        needs_scan = true;
-      }
-    }
-    if (restarted_) {
-      if (di.next_recovery_at == 0) {
-        // Grace before this engine recovers it: the dep may simply be in flight.
-        di.next_recovery_at = ctx_->Now() + config_.recovery_retry_interval;
-      }
-      needs_scan = true;
-    }
-    if (needs_scan) {
-      ArmScanTimer();
-    }
-  }
-  // Identifier-space gap watch: per-process identifiers are dense, so committing q:s
-  // while earlier identifiers of q are unknown here means their commits were lost
-  // (e.g. dropped across a partition). Watch them all *now* — compressed dependency
-  // sets only reveal the newest missing identifier, so waiting for dep chains would
-  // recover one identifier per commit_timeout and wedge the executor for
-  // gap*timeout.
-  if (config_.commit_timeout > 0 && dot.proc != self_) {
-    uint64_t& horizon = commit_horizon_[dot.proc];
-    for (uint64_t s = dot.seq; s > horizon + 1;) {
-      Dot missing{dot.proc, --s};
-      if (!executor_.IsCommitted(missing)) {
-        ArmWatch(missing, GetInfo(missing));
-      }
-    }
-    horizon = std::max(horizon, dot.seq);
-  }
+  // Dependency tracking and the gap watch. Inserting may rehash infos_, so `info` is
+  // dead from here on.
+  recovery_.OnCommit(dot, deps, infos_,
+                     [this](const Dot& d) { return executor_.IsCommitted(d); });
   executor_.Commit(dot, cmd, deps, seqno);
 }
 
@@ -374,37 +299,15 @@ void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,
 // ---------------------------------------------------------------------------
 
 void EPaxosEngine::OnSuspect(ProcessId p) {
-  if (p == self_ || !suspected_.insert(p).second) {
-    return;
-  }
-  if (RecoveryScan()) {
-    ArmScanTimer();
-  }
+  recovery_.OnSuspect(p, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
 }
 
 void EPaxosEngine::OnRestore(ProcessId p, uint64_t seq_floor) {
-  if (p == self_) {
-    return;
-  }
-  suspected_.erase(p);
-  uint64_t& floor = peer_floors_[p];
-  floor = std::max(floor, seq_floor);
-  // Dots below the floor belong to the dead incarnation: it will never finish them,
-  // and p is no longer suspected, so mark them to keep the scan interested.
-  std::vector<Dot> stale;
-  infos_.ForEach([&](const Dot& dot, const Info& info) {
-    if (dot.proc == p && dot.seq < floor && !info.orphaned &&
-        info.phase != Phase::kCommitted) {
-      stale.push_back(dot);
-    }
-  });
-  for (const Dot& dot : stale) {
-    GetInfo(dot).orphaned = true;
-    any_orphaned_ = true;
-  }
-  if (!stale.empty()) {
-    ArmScanTimer();
-  }
+  recovery_.OnRestore(p, seq_floor, infos_, &Decided);
+}
+
+void EPaxosEngine::OnTimer(uint64_t token) {
+  recovery_.OnTimer(token, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
 }
 
 smr::RestartHint EPaxosEngine::restart_hint() const {
@@ -413,115 +316,19 @@ smr::RestartHint EPaxosEngine::restart_hint() const {
 
 void EPaxosEngine::ApplyRestartHint(const smr::RestartHint& hint) {
   next_seq_ = std::max(next_seq_, hint.seq_floor);
-  restart_floor_ = next_seq_;
-  restarted_ = true;
-  // Old commands resurface as dependencies of new commits; the scan recovers them.
-  ArmScanTimer();
+  recovery_.Restarted(next_seq_);
 }
 
-void EPaxosEngine::ArmScanTimer() {
-  if (!scan_timer_armed_) {
-    scan_timer_armed_ = true;
-    ctx_->SetTimer(config_.recovery_scan_interval, kRecoveryScanToken);
-  }
-}
-
-void EPaxosEngine::OnTimer(uint64_t token) {
-  if (token == kRecoveryScanToken) {
-    scan_timer_armed_ = false;
-    if (RecoveryScan()) {
-      ArmScanTimer();
-    }
-    return;
-  }
-  if ((token & 3) == kCommitTimeoutToken) {
-    Dot dot{self_, token >> 2};
-    if (executor_.IsCommitted(dot)) {
-      return;
-    }
-    Info* found = infos_.Find(dot);
-    if (found == nullptr) {
-      return;
-    }
-    StartRecovery(dot, *found);
-    ctx_->SetTimer(config_.commit_timeout, token);
-    return;
-  }
-  if ((token & 3) == kWatchToken) {
-    uint64_t packed = token >> 2;
-    Dot dot{static_cast<ProcessId>(packed >> 44), packed & ((uint64_t{1} << 44) - 1)};
-    if (executor_.IsCommitted(dot)) {
-      return;
-    }
-    Info* found = infos_.Find(dot);
-    if (found == nullptr) {
-      return;  // reclaimed (e.g. restart); the recovery scan owns it now
-    }
-    // The commit outcome never reached us within the timeout: run explicit prepare
-    // ourselves (safe against a live leader — Prepare carries a higher ballot and
-    // learns any committed or accepted value from the quorum).
-    StartRecovery(dot, *found);
-    ctx_->SetTimer(config_.commit_timeout, token);
-  }
-}
-
-void EPaxosEngine::ArmWatch(const Dot& dot, Info& info) {
-  if (config_.commit_timeout <= 0 || info.watched) {
-    return;
-  }
-  CHECK_LT(dot.seq, uint64_t{1} << 44);
-  info.watched = true;
-  ctx_->SetTimer(config_.commit_timeout,
-                 (((static_cast<uint64_t>(dot.proc) << 44) | dot.seq) << 2) |
-                     kWatchToken);
-}
-
-bool EPaxosEngine::RecoveryScan() {
-  if (suspected_.empty() && !restarted_ && !any_orphaned_) {
+bool EPaxosEngine::Recover(const Dot& dot) {
+  if (executor_.IsCommitted(dot)) {
     return false;
   }
-  // Recover every known uncommitted command coordinated by a suspected process (or
-  // orphaned by a restart; or, on a restarted engine, any pending identifier that is
-  // not one of our own new commands). New ballots are only started if the previous
-  // attempt has had time to finish.
-  std::vector<Dot> to_recover;
-  std::vector<Dot> grace;
-  bool any_pending = false;
-  common::Time now = ctx_->Now();
-  infos_.ForEach([&](const Dot& dot, const Info& info) {
-    if (info.phase == Phase::kCommitted) {
-      return;
-    }
-    bool direct = suspected_.count(dot.proc) > 0 || info.orphaned;
-    if (!direct && !(restarted_ &&
-                     !(dot.proc == self_ && dot.seq >= restart_floor_))) {
-      return;
-    }
-    any_pending = true;
-    if (!direct && info.next_recovery_at == 0) {
-      // Restart-driven eligibility gets a grace period: the command may simply be
-      // in flight at its live coordinator.
-      grace.push_back(dot);
-      return;
-    }
-    if (info.next_recovery_at > now) {
-      return;
-    }
-    to_recover.push_back(dot);
-  });
-  for (const Dot& dot : grace) {
-    GetInfo(dot).next_recovery_at = now + config_.recovery_retry_interval;
+  Info* found = infos_.Find(dot);
+  if (found == nullptr) {
+    return false;  // reclaimed (e.g. restart); the recovery scan owns it now
   }
-  // Flat-map iteration order depends on the table layout; recover in canonical dot
-  // order so seeded crash runs stay reproducible across map implementations.
-  std::sort(to_recover.begin(), to_recover.end());
-  for (const Dot& dot : to_recover) {
-    if (executor_.IsCommitted(dot)) {
-      continue;
-    }
-    StartRecovery(dot, GetInfo(dot));
-  }
-  return any_pending;
+  StartRecovery(dot, *found);
+  return true;
 }
 
 void EPaxosEngine::StartRecovery(const Dot& dot, Info& info) {
@@ -536,7 +343,7 @@ void EPaxosEngine::StartRecovery(const Dot& dot, Info& info) {
   } else {
     *info.rec = RecState();
   }
-  info.next_recovery_at = ctx_->Now() + config_.recovery_retry_interval;
+  recovery_.Defer(info.mark);
   msg::EpPrepare prep;
   prep.dot = dot;
   prep.ballot = b;

@@ -15,22 +15,20 @@
 // with the union of surviving dependencies otherwise. Full EPaxos fast-path recovery is
 // intentionally out of scope: the paper (§3.3) cites it as "very complex" and recently
 // shown to contain a bug [Sutra, IPL 2020]; none of the reproduced experiments exercise
-// EPaxos under failures. Recovery is driven by a paced scan (recovery_scan_interval /
-// recovery_retry_interval, mirroring Atlas) so lost Prepare rounds retry, plus an
-// optional per-command commit timeout for the submitting replica. A restarted replica
-// (ApplyRestartHint) re-learns decided commands through the same scan; a bounded
-// decided-value log answers Prepares for recently executed commands whose Info was
-// reclaimed.
+// EPaxos under failures. When to recover a dot is decided by smr::RecoveryScheduler,
+// the policy Atlas uses too: suspicion, restart orphans and grace, the submitter's
+// commit timeout, and commit and gap watches, paced by one scan so lost Prepare rounds
+// retry. A restarted replica (ApplyRestartHint) re-learns decided commands through the
+// same scan; a bounded decided-value log answers Prepares for recently executed
+// commands whose Info was reclaimed.
 //
 // The NFR read optimization (§4) applies to EPaxos too (the paper's "*EPaxos"): enabled
 // via Config::nfr.
 #ifndef SRC_EPAXOS_EPAXOS_H_
 #define SRC_EPAXOS_EPAXOS_H_
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "src/common/dep_set.h"
 #include "src/common/dot_map.h"
@@ -41,6 +39,7 @@
 #include "src/smr/conflict_index.h"
 #include "src/smr/decided_log.h"
 #include "src/smr/engine.h"
+#include "src/smr/recovery_scheduler.h"
 
 namespace epaxos {
 
@@ -48,16 +47,8 @@ struct Config {
   uint32_t n = 3;
   bool nfr = false;
   smr::IndexMode index_mode = smr::IndexMode::kCompressed;
-  std::vector<common::ProcessId> by_proximity;
-  // When > 0, each locally submitted command arms a timer; if the command is still
-  // uncommitted when it fires, the submitter runs explicit-prepare recovery on it.
-  // 0 disables (failure-free deployments).
-  common::Duration commit_timeout = 0;
-  // Recovery scan pacing (armed only while some process is suspected, after a
-  // restart, or while restarted-peer floors are known — failure-free runs never
-  // arm the timer or touch the recovery structures).
-  common::Duration recovery_scan_interval = 500 * common::kMillisecond;
-  common::Duration recovery_retry_interval = 1 * common::kSecond;
+  // Recovery scheduling: quorum proximity, commit timeout, scan pacing.
+  smr::RecoverySettings recovery;
 
   uint32_t F() const { return (n - 1) / 2; }
   // Fast quorum including the command leader: F + floor((F+1)/2), the optimized EPaxos
@@ -147,15 +138,10 @@ class EPaxosEngine final : public smr::Engine {
     common::Ballot rec_ballot = 0;
     common::Quorum rec_acked;
     std::unique_ptr<RecState> rec;
-    common::Time next_recovery_at = 0;
-    // Owned by a dead incarnation of a since-restarted process: stays eligible for
-    // the recovery scan even though its owner is no longer suspected.
-    bool orphaned = false;
+    smr::RecoveryMark mark;
     // The payload was learned from prepare acks (phase may still be kNone); lets the
     // next prepare round carry the command so repliers can report fresh conflicts.
     bool rec_cmd_known = false;
-    // A commit-outcome watch timer is pending for this dot (see ArmWatch).
-    bool watched = false;
   };
 
   void HandlePreAccept(common::ProcessId from, const msg::EpPreAccept& m);
@@ -172,10 +158,12 @@ class EPaxosEngine final : public smr::Engine {
   void ApplyCommit(const common::Dot& dot, const smr::Command& cmd,
                    const common::DepSet& deps, uint64_t seqno, bool fast_path);
 
-  // Returns true while uncommitted commands eligible for recovery remain.
-  bool RecoveryScan();
-  void ArmScanTimer();
+  // The recovery scheduler's action: explicit prepare for a known, uncommitted dot.
+  // Returns false (nothing to recover) if it committed or its Info was reclaimed.
+  bool Recover(const common::Dot& dot);
   void StartRecovery(const common::Dot& dot, Info& info);
+  // The recovery scheduler's view of an Info: committed ones are never recovered.
+  static bool Decided(const Info& info) { return info.phase == Phase::kCommitted; }
 
   // Highest sequence number among recorded commands conflicting with cmd.
   uint64_t MaxConflictSeq(const common::DepSet& deps) const;
@@ -186,7 +174,6 @@ class EPaxosEngine final : public smr::Engine {
   // copy-into-locals before ApplyCommit.
   Info& GetInfo(const common::Dot& dot) { return infos_[dot]; }
   bool NfrRead(const smr::Command& cmd) const { return config_.nfr && cmd.is_read(); }
-  common::Quorum PickQuorum(size_t size) const;
 
   Config config_;
   std::unique_ptr<smr::ConflictIndex> index_;
@@ -201,35 +188,13 @@ class EPaxosEngine final : public smr::Engine {
   common::DotMap<uint64_t> seqnos_;
   // A bare commit's payload, copied out of its Info (capacity reused).
   smr::Command commit_cmd_scratch_;
-  std::unordered_set<common::ProcessId> suspected_;
-  bool scan_timer_armed_ = false;
-
-  // Restart bookkeeping (mirrors AtlasEngine): a restarted engine re-learns decided
-  // commands through the explicit-prepare path; peer_floors_ keeps restarted peers'
-  // abandoned dots scan-eligible after suspicion clears (per-Info `orphaned`).
-  bool restarted_ = false;
-  uint64_t restart_floor_ = 0;
-  // Highest committed identifier seen per process; commits above the horizon arm
-  // watches on every unknown identifier in the gap (lost-commit catch-up).
-  std::vector<uint64_t> commit_horizon_;
-  bool any_orphaned_ = false;
-  std::unordered_map<common::ProcessId, uint64_t> peer_floors_;
+  // When to recover a dot: suspicion, restarts, commit timeouts and watches.
+  smr::RecoveryScheduler recovery_;
 
   // Decided (committed) values, answering Prepares for commands whose Info the
   // execute callback already erased (e.g. a restarted replica re-learning a
   // dependency the rest of the cluster executed long ago).
   smr::DecidedLog decided_;
-
-  // Arms a commit-outcome watch for a dot this replica knows about but did not
-  // coordinate: if the commit has not arrived after commit_timeout (lost EpCommit,
-  // partitioned leader), the watcher runs explicit prepare itself. No-op unless
-  // commit timeouts are configured, so failure-free deployments are unaffected.
-  void ArmWatch(const common::Dot& dot, Info& info);
-
-  static constexpr uint64_t kRecoveryScanToken = 1;
-  static constexpr uint64_t kCommitTimeoutToken = 2;  // low bits of per-dot timers
-  // Watch timers pack the full dot: ((proc << 44) | seq) << 2 | kWatchToken.
-  static constexpr uint64_t kWatchToken = 3;
 };
 
 }  // namespace epaxos

@@ -88,7 +88,7 @@ void Cluster::BuildReplicas() {
   }
 
   // All replica assembly goes through smr::Deployment — the harness builds no
-  // engine (bare or sharded) directly.
+  // engine directly.
   for (uint32_t i = 0; i < n; i++) {
     replicas_.push_back(
         std::make_unique<smr::Deployment>(MakeDeploymentOptions(i)));

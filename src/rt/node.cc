@@ -259,11 +259,18 @@ void Node::MaybeStartEngine() {
   // apply recovered restart hints themselves, right after OnStart.
   shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
   SendCatchupRequests();
-  ReplayPendingPeerFrames();
+  std::vector<PendingPeerFrame> frames;
+  frames.swap(pending_peer_frames_);
+  for (const PendingPeerFrame& f : frames) {
+    OnPeerFrame(f.from, f.bytes.data(), f.bytes.size());
+  }
   for (smr::Command& cmd : pending_submits_) {
+    ShardInput in;
+    in.kind = ShardInput::Kind::kSubmit;
+    in.cmd = std::move(cmd);
     uint32_t shard = 0;
-    deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
-    RouteInput(common::kInvalidProcess, nullptr, shard, &cmd);
+    deployment_->partitioner().SingleShard(in.cmd, &shard);  // validated on arrival
+    RouteWithRetry(shard, in);
   }
   pending_submits_.clear();
 }
@@ -279,33 +286,6 @@ void Node::BufferPeerFrame(common::ProcessId from, const uint8_t* data,
   }
   pending_peer_frames_.push_back(
       PendingPeerFrame{from, std::vector<uint8_t>(data, data + size)});
-}
-
-void Node::ReplayPendingPeerFrames() {
-  std::vector<PendingPeerFrame> frames;
-  frames.swap(pending_peer_frames_);
-  for (PendingPeerFrame& f : frames) {
-    codec::Reader r(f.bytes.data(), f.bytes.size());
-    uint8_t kind = r.U8();
-    switch (kind) {
-      case kFrameMessage: {
-        msg::Message m;
-        if (!msg::Decode(r, m)) {
-          break;
-        }
-        RouteInput(f.from, &m, /*shard=*/0, nullptr);
-        break;
-      }
-      case kFrameCatchupReq:
-        HandleCatchupRequest(r);
-        break;
-      case kFrameCatchupEntries:
-        HandleCatchupEntries(r);
-        break;
-      default:
-        break;
-    }
-  }
 }
 
 void Node::SendCatchupRequests() {
@@ -355,92 +335,109 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
     case kFrameClientHello:
       conn->is_client = true;
       break;
-    case kFrameMessage: {
-      msg::Message m;
-      if (!msg::Decode(r, m)) {
-        return;
-      }
+    case kFrameMessage:
       if (conn->is_client) {
-        if (auto* req = msg::get_if<msg::ClientRequest>(&m)) {
-          // kBatch is an internal composite (built by the sharded submission
-          // path, client 0): an untrusted client injecting one would crash the
-          // whole cluster at the deployment's unpack CHECK once it replicated.
-          // Reject it at the door, at any partition count. Everything else is
-          // validated against the deployment's Partitioner before it reaches
-          // an engine: a routable command lands directly in its shard worker's
-          // inbox, and unroutable input from an untrusted client (at P>1,
-          // noOps and key sets spanning partitions) is rejected as dropped
-          // instead of CHECK-crashing the replica.
-          uint32_t shard = 0;
-          bool unroutable = req->cmd.is_batch() ||
-                            !deployment_->partitioner().SingleShard(req->cmd, &shard);
-          if (unroutable) {
-            // Reply directly on this connection: going through waiting_clients_
-            // could clobber an in-flight entry reusing the same (client, seq).
-            SendReply(conn, req->cmd.client, req->cmd.seq, "", /*dropped=*/true);
-            return;
-          }
-          chk::CmdKey key{req->cmd.client, req->cmd.seq};
-          if (deployment_->durable()) {
-            // Idempotent resubmission: a client that reconnected after its
-            // socket died re-sends its last command. If it already completed,
-            // answer from the completion cache instead of re-executing; if it
-            // is still in flight, just re-point the reply at the new
-            // connection.
-            auto done = client_done_.find(req->cmd.client);
-            if (done != client_done_.end() && req->cmd.seq <= done->second.first) {
-              SendReply(conn, req->cmd.client, req->cmd.seq,
-                        req->cmd.seq == done->second.first
-                            ? std::string(done->second.second)
-                            : std::string(),
-                        /*dropped=*/false);
-              return;
-            }
-            if (in_flight_.find(key) != in_flight_.end()) {
-              waiting_clients_[key] = conn;
-              return;
-            }
-            in_flight_.insert(key);
-          }
-          waiting_clients_[key] = conn;
-          if (engine_started_) {
-            RouteInput(common::kInvalidProcess, nullptr, shard, &req->cmd);
-          } else {
-            pending_submits_.push_back(req->cmd);
-          }
-        }
-        return;
+        OnClientMessage(conn, r);
+        break;
       }
-      if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else {
-          RouteInput(conn->peer_id, &m, /*shard=*/0, nullptr);
-        }
-      }
-      break;
-    }
+      [[fallthrough]];
     case kFrameCatchupReq:
-      if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else {
-          HandleCatchupRequest(r);
-        }
-      }
-      break;
     case kFrameCatchupEntries:
       if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else {
-          HandleCatchupEntries(r);
-        }
+        OnPeerFrame(conn->peer_id, data, size);
       }
       break;
     default:
       break;
   }
+}
+
+void Node::OnPeerFrame(common::ProcessId from, const uint8_t* data, size_t size) {
+  if (!engine_started_) {
+    BufferPeerFrame(from, data, size);
+    return;
+  }
+  codec::Reader r(data, size);
+  switch (r.U8()) {
+    case kFrameMessage: {
+      ShardInput in;
+      in.kind = ShardInput::Kind::kMessage;
+      in.from = from;
+      // A malformed or foreign shard tag is swallowed, as ShardedEngine does.
+      if (msg::Decode(r, in.m) && in.m.shard < shards_->partitions()) {
+        RouteWithRetry(in.m.shard, in);
+      }
+      break;
+    }
+    case kFrameCatchupReq:
+      HandleCatchupRequest(r);
+      break;
+    case kFrameCatchupEntries:
+      HandleCatchupEntries(r);
+      break;
+    default:
+      break;
+  }
+}
+
+void Node::OnClientMessage(Connection* conn, codec::Reader& r) {
+  msg::Message m;
+  if (!msg::Decode(r, m)) {
+    return;
+  }
+  auto* req = msg::get_if<msg::ClientRequest>(&m);
+  if (req == nullptr) {
+    return;
+  }
+  // kBatch is an internal composite (built by the sharded submission
+  // path, client 0): an untrusted client injecting one would crash the
+  // whole cluster at the deployment's unpack CHECK once it replicated.
+  // Reject it at the door, at any partition count. Everything else is
+  // validated against the deployment's Partitioner before it reaches
+  // an engine: a routable command lands directly in its shard worker's
+  // inbox, and unroutable input from an untrusted client (at P>1,
+  // noOps and key sets spanning partitions) is rejected as dropped
+  // instead of CHECK-crashing the replica.
+  uint32_t shard = 0;
+  bool unroutable = req->cmd.is_batch() ||
+                    !deployment_->partitioner().SingleShard(req->cmd, &shard);
+  if (unroutable) {
+    // Reply directly on this connection: going through waiting_clients_
+    // could clobber an in-flight entry reusing the same (client, seq).
+    SendReply(conn, req->cmd.client, req->cmd.seq, "", /*dropped=*/true);
+    return;
+  }
+  chk::CmdKey key{req->cmd.client, req->cmd.seq};
+  if (deployment_->durable()) {
+    // Idempotent resubmission: a client that reconnected after its
+    // socket died re-sends its last command. If it already completed,
+    // answer from the completion cache instead of re-executing; if it
+    // is still in flight, just re-point the reply at the new
+    // connection.
+    auto done = client_done_.find(req->cmd.client);
+    if (done != client_done_.end() && req->cmd.seq <= done->second.first) {
+      SendReply(conn, req->cmd.client, req->cmd.seq,
+                req->cmd.seq == done->second.first
+                    ? std::string(done->second.second)
+                    : std::string(),
+                /*dropped=*/false);
+      return;
+    }
+    if (in_flight_.find(key) != in_flight_.end()) {
+      waiting_clients_[key] = conn;
+      return;
+    }
+    in_flight_.insert(key);
+  }
+  waiting_clients_[key] = conn;
+  if (!engine_started_) {
+    pending_submits_.push_back(std::move(req->cmd));
+    return;
+  }
+  ShardInput in;
+  in.kind = ShardInput::Kind::kSubmit;
+  in.cmd = std::move(req->cmd);
+  RouteWithRetry(shard, in);
 }
 
 void Node::HandleCatchupRequest(codec::Reader& r) {
@@ -463,9 +460,12 @@ void Node::HandleCatchupRequest(codec::Reader& r) {
   // records back as kCatchup outputs. A dropped request leaves the requester
   // behind until protocol recovery catches it up.
   for (uint32_t s = 0; s < nshards; s++) {
-    RouteWithRetry([&]() {
-      return shards_->RouteCatchupRequest(s, requester, floors[s], frontiers[s]);
-    });
+    ShardInput in;
+    in.kind = ShardInput::Kind::kCatchupReq;
+    in.from = requester;
+    in.seq_floor = floors[s];
+    in.blob = std::move(frontiers[s]);
+    RouteWithRetry(s, in);
   }
 }
 
@@ -476,14 +476,14 @@ void Node::HandleCatchupEntries(codec::Reader& r) {
     return;
   }
   for (uint64_t i = 0; i < count; i++) {
-    common::Dot dot = r.Dot();
-    smr::Command cmd = smr::Command::Decode(r);
-    if (!r.ok() || !dot.valid()) {
+    ShardInput in;
+    in.kind = ShardInput::Kind::kCatchupEntry;
+    in.dot = r.Dot();
+    in.cmd = smr::Command::Decode(r);
+    if (!r.ok() || !in.dot.valid()) {
       return;
     }
-    RouteWithRetry([&]() {
-      return shards_->RouteCatchupEntry(static_cast<uint32_t>(shard), dot, cmd);
-    });
+    RouteWithRetry(static_cast<uint32_t>(shard), in);
   }
 }
 
@@ -526,8 +526,7 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
 
 // --- I/O tier ----------------------------------------------------------------
 
-template <class TryRoute>
-void Node::RouteWithRetry(TryRoute&& try_route) {
+void Node::RouteWithRetry(uint32_t shard, ShardInput& in) {
   // Bounded retry, never a blocking wait: a full inbox with a live worker
   // drains in microseconds once we stop hogging the core; a dead worker's
   // inbox swallows input inside the runtime. Draining outboxes between
@@ -535,7 +534,7 @@ void Node::RouteWithRetry(TryRoute&& try_route) {
   // on its inbox (the deadlock the mailbox discipline forbids).
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
-    if (try_route()) {
+    if (shards_->Route(shard, in)) {
       return;
     }
     if (DrainShardOutputs() > 0) {
@@ -547,14 +546,6 @@ void Node::RouteWithRetry(TryRoute&& try_route) {
     }
     std::this_thread::yield();
   }
-}
-
-void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
-                      smr::Command* cmd) {
-  RouteWithRetry([&]() {
-    return m != nullptr ? shards_->RouteMessage(from, *m)
-                        : shards_->SubmitToShard(shard, *cmd);
-  });
 }
 
 void Node::OnWorkerOutput() {

@@ -1,4 +1,4 @@
-// Real-runtime replica node: runs one smr::Deployment — bare or sharded — over TCP.
+// Real-runtime replica node: runs one smr::Deployment over TCP.
 //
 // A node listens on one port for both peer and client connections; frames are
 // 4-byte little-endian length + codec-encoded payload:
@@ -98,6 +98,12 @@ class Node final : public ShardOutputSink {
   void AcceptReady();
   void OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn);
   void OnFrame(Connection* conn, const uint8_t* data, size_t size);
+  // A client's message frame: validates and routes its ClientRequest.
+  void OnClientMessage(Connection* conn, codec::Reader& r);
+  // The one handler of a peer's message and catch-up frames. Until this node's
+  // engine starts they are buffered (pending_peer_frames_) and replayed through
+  // here, in arrival order, the moment it does.
+  void OnPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
   void MaybeStartEngine();
   // Connection teardown: a closed socket schedules a reap on the loop (never
   // destroyed mid-callback); the reap scrubs every raw pointer to the
@@ -109,11 +115,7 @@ class Node final : public ShardOutputSink {
   void ScheduleRedial(common::ProcessId p);
   void DialPeer(common::ProcessId p);
   void OnDialReady(common::ProcessId p, int fd);
-  // Pre-start peer traffic: frames from peers whose engines started before ours
-  // are held and replayed in arrival order the moment our engine starts (see
-  // pending_peer_frames_).
   void BufferPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
-  void ReplayPendingPeerFrames();
   // Durable restart: advertise recovered frontiers to every peer (once, when
   // the engine starts) so they stream back what this node missed.
   void SendCatchupRequests();
@@ -122,14 +124,10 @@ class Node final : public ShardOutputSink {
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
-  // Calls try_route until a shard inbox takes the input, draining worker
-  // outboxes while it is full (never a blocking wait; bounded retries, then
-  // the input is dropped and counted). Instantiated in node.cc only.
-  template <class TryRoute>
-  void RouteWithRetry(TryRoute&& try_route);
-  // Routes one decoded message or client command to its shard's inbox.
-  void RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
-                  smr::Command* cmd);
+  // Routes `in` until the shard's inbox takes it, draining worker outboxes
+  // while it is full (never a blocking wait; bounded retries, then the input
+  // is dropped and counted).
+  void RouteWithRetry(uint32_t shard, ShardInput& in);
   // Doorbell callback: drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
   size_t DrainShardOutputs();

@@ -338,82 +338,13 @@ bool ShardRuntime::StopOne(uint32_t shard) {
   return true;
 }
 
-bool ShardRuntime::RouteMessage(common::ProcessId from, msg::Message& m) {
-  uint32_t shard = m.shard;
-  if (shard >= partitions_) {
-    return true;  // malformed/foreign tag: swallow, like ShardedEngine does
-  }
+bool ShardRuntime::Route(uint32_t shard, ShardInput& in) {
+  CHECK_LT(shard, partitions_);
   Worker& w = *workers_[shard];
   if (w.stopped()) {
     return true;  // dead shard: input is lost, like a crashed replica's would be
   }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kMessage;
-  in.from = from;
-  in.m = std::move(m);
   if (!w.inbox().TryPush(in)) {
-    m = std::move(in.m);  // hand the message back for the caller's retry
-    return false;
-  }
-  w.bell().Ring();
-  return true;
-}
-
-bool ShardRuntime::SubmitToShard(uint32_t shard, smr::Command& cmd) {
-  CHECK_LT(shard, partitions_);
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;  // dead shard drops the submission (client will time out/retry)
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kSubmit;
-  in.cmd = std::move(cmd);
-  if (!w.inbox().TryPush(in)) {
-    cmd = std::move(in.cmd);
-    return false;
-  }
-  w.bell().Ring();
-  return true;
-}
-
-bool ShardRuntime::RouteCatchupRequest(uint32_t shard, common::ProcessId from,
-                                       uint64_t seq_floor,
-                                       std::string& frontier_blob) {
-  if (shard >= partitions_) {
-    return true;
-  }
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kCatchupReq;
-  in.from = from;
-  in.seq_floor = seq_floor;
-  in.blob = std::move(frontier_blob);
-  if (!w.inbox().TryPush(in)) {
-    frontier_blob = std::move(in.blob);
-    return false;
-  }
-  w.bell().Ring();
-  return true;
-}
-
-bool ShardRuntime::RouteCatchupEntry(uint32_t shard, const common::Dot& dot,
-                                     smr::Command& cmd) {
-  if (shard >= partitions_) {
-    return true;
-  }
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kCatchupEntry;
-  in.dot = dot;
-  in.cmd = std::move(cmd);
-  if (!w.inbox().TryPush(in)) {
-    cmd = std::move(in.cmd);
     return false;
   }
   w.bell().Ring();

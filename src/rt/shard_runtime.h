@@ -21,8 +21,8 @@
 // allocating only when an edge reaches a new occupancy high, so a shard's
 // set-up and resident memory follow its real queue depth. Cross-shard
 // edges are not instantiated — shard engines share no keys and never talk to
-// each other (cross-shard commands are the ROADMAP's next gap; they would add
-// (shard -> shard) mailboxes to this same topology). Idle workers park on an
+// each other (cross-shard commands would add (shard -> shard) mailboxes to
+// this same topology). Idle workers park on an
 // eventfd doorbell with a timeout derived from their own timer wheel, so an
 // idle replica burns no CPU.
 //
@@ -122,23 +122,20 @@ class ShardRuntime {
   // false if already stopped.
   bool StopOne(uint32_t shard);
 
-  // I/O-thread entry points. Both move their argument into a mailbox slot on
-  // success; on a full inbox they leave it untouched and return false — the
-  // caller drains outboxes (freeing worker progress) and retries or drops.
-  bool RouteMessage(common::ProcessId from, msg::Message& m);
-  bool SubmitToShard(uint32_t shard, smr::Command& cmd);
-
-  // Catch-up plumbing (durable deployments). RouteCatchupRequest hands a
-  // restarted peer's advert (reserved floor + encoded frontier) to the shard
-  // worker, which OnRestore()s its engine and streams the missing log records
-  // back as kCatchup outputs; RouteCatchupEntry feeds one streamed record into
-  // the shard worker, which applies it through the normal Executed path (the
-  // durable admit filter makes re-delivery idempotent). Same full-inbox
-  // contract as above.
-  bool RouteCatchupRequest(uint32_t shard, common::ProcessId from,
-                           uint64_t seq_floor, std::string& frontier_blob);
-  bool RouteCatchupEntry(uint32_t shard, const common::Dot& dot,
-                         smr::Command& cmd);
+  // The I/O thread's one entry point: moves `in` into the shard's inbox and
+  // wakes its worker. On a full inbox it leaves `in` untouched and returns
+  // false — the caller drains outboxes (freeing worker progress) and retries
+  // the same item or drops it. A stopped shard swallows its input, as a
+  // crashed replica would. `shard` must be < partitions(): callers validate
+  // tags a peer sent before routing.
+  //
+  // The worker hands kMessage to its engine and batches kSubmit. On durable
+  // deployments, kCatchupReq (a restarted peer's reserved floor + encoded
+  // frontier) OnRestore()s the engine and streams the missing log records back
+  // as kCatchup outputs, and kCatchupEntry (one streamed record) applies
+  // through the normal Executed path, whose durable admit filter makes
+  // re-delivery idempotent.
+  bool Route(uint32_t shard, ShardInput& in);
 
   // Drains every outbox into the sink (I/O thread only). Returns items drained.
   size_t DrainOutputs(ShardOutputSink& sink);

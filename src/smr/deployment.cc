@@ -28,6 +28,20 @@ const char* ProtocolName(Protocol p) {
 
 namespace {
 
+// The Atlas/EPaxos recovery knobs; a 0 interval keeps the engine default.
+RecoverySettings RecoveryOf(const DeploymentOptions& o) {
+  RecoverySettings r;
+  r.by_proximity = o.by_proximity;
+  r.commit_timeout = o.commit_timeout;
+  if (o.recovery_scan_interval > 0) {
+    r.recovery_scan_interval = o.recovery_scan_interval;
+  }
+  if (o.recovery_retry_interval > 0) {
+    r.recovery_retry_interval = o.recovery_retry_interval;
+  }
+  return r;
+}
+
 // The one place in the tree where protocol engines are constructed for a replica.
 // Every partition of a node gets an identical configuration.
 std::unique_ptr<Engine> MakeProtocolEngine(const DeploymentOptions& o) {
@@ -39,14 +53,7 @@ std::unique_ptr<Engine> MakeProtocolEngine(const DeploymentOptions& o) {
       cfg.nfr = o.nfr;
       cfg.prune_slow_path = o.prune_slow_path;
       cfg.index_mode = o.index_mode;
-      cfg.by_proximity = o.by_proximity;
-      cfg.commit_timeout = o.commit_timeout;
-      if (o.recovery_scan_interval > 0) {
-        cfg.recovery_scan_interval = o.recovery_scan_interval;
-      }
-      if (o.recovery_retry_interval > 0) {
-        cfg.recovery_retry_interval = o.recovery_retry_interval;
-      }
+      cfg.recovery = RecoveryOf(o);
       return std::make_unique<atlas::AtlasEngine>(cfg);
     }
     case Protocol::kEPaxos: {
@@ -54,14 +61,7 @@ std::unique_ptr<Engine> MakeProtocolEngine(const DeploymentOptions& o) {
       cfg.n = o.n;
       cfg.nfr = o.nfr;
       cfg.index_mode = o.index_mode;
-      cfg.by_proximity = o.by_proximity;
-      cfg.commit_timeout = o.commit_timeout;
-      if (o.recovery_scan_interval > 0) {
-        cfg.recovery_scan_interval = o.recovery_scan_interval;
-      }
-      if (o.recovery_retry_interval > 0) {
-        cfg.recovery_retry_interval = o.recovery_retry_interval;
-      }
+      cfg.recovery = RecoveryOf(o);
       return std::make_unique<epaxos::EPaxosEngine>(cfg);
     }
     case Protocol::kFPaxos:

@@ -28,8 +28,8 @@ struct MiniCluster {
       cfg.n = n;
       cfg.f = f;
       cfg.prune_slow_path = prune;
-      cfg.recovery_scan_interval = 100 * kMillisecond;
-      cfg.recovery_retry_interval = 200 * kMillisecond;
+      cfg.recovery.recovery_scan_interval = 100 * kMillisecond;
+      cfg.recovery.recovery_retry_interval = 200 * kMillisecond;
       engines.push_back(std::make_unique<AtlasEngine>(cfg));
       sim->AddEngine(engines.back().get());
     }

@@ -27,9 +27,9 @@ struct RecCluster {
         std::make_unique<sim::UniformLatency>(10 * kMillisecond, 0), opts);
     config.n = n;
     config.f = f;
-    config.recovery_scan_interval = 100 * kMillisecond;
-    config.recovery_retry_interval = 300 * kMillisecond;
-    config.commit_timeout = 500 * kMillisecond;
+    config.recovery.recovery_scan_interval = 100 * kMillisecond;
+    config.recovery.recovery_retry_interval = 300 * kMillisecond;
+    config.recovery.commit_timeout = 500 * kMillisecond;
     for (uint32_t i = 0; i < n; i++) {
       engines.push_back(std::make_unique<AtlasEngine>(config));
       sim->AddEngine(engines.back().get());

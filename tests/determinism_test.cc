@@ -148,4 +148,101 @@ TEST(DeterminismTest, FaultPackSameSeedSameScheduleAndDigests) {
   EXPECT_NE(base.store_digest, moved.store_digest);
 }
 
+// Pins the recovery paths' outcomes: schedule digest, store digest and completed
+// count of the crash, restart, partition and lossy-link packs, for both engines
+// that share smr::RecoveryScheduler, unbatched at P=1 and batched (2 ms) at P=4.
+// The same-seed test above would still pass if a change moved every recovery run
+// the same way; these values would not. Captured from fault_campaign output.
+TEST(DeterminismTest, PinnedRecoveryDigests) {
+  using harness::Protocol;
+  struct Pin {
+    const char* pack;
+    Protocol protocol;
+    uint32_t partitions;
+    uint64_t seed;
+    uint64_t schedule_digest;
+    uint64_t store_digest;
+    uint64_t completed;
+  };
+  const Pin kPins[] = {
+      {"kill_one_replica", Protocol::kAtlas, 1, 1,
+       0xfb118a1139719099ull, 0xaf50ea282be0f952ull, 178},
+      {"kill_one_replica", Protocol::kAtlas, 1, 2,
+       0xb7a572d656ddcd66ull, 0xa657a0d135250983ull, 179},
+      {"rolling_restarts", Protocol::kAtlas, 1, 1,
+       0x887a6a557782f0f5ull, 0xf3f4519dbbafa4baull, 177},
+      {"rolling_restarts", Protocol::kAtlas, 1, 2,
+       0x69fe9c835311bfc4ull, 0x4526e59c9fc9e964ull, 160},
+      {"partition_region_mid_commit", Protocol::kAtlas, 1, 1,
+       0x3a4c490755b1c820ull, 0x2d8268595a178ca1ull, 180},
+      {"partition_region_mid_commit", Protocol::kAtlas, 1, 2,
+       0xc02a75f26c28e0a5ull, 0xe68cda9db94ab003ull, 179},
+      {"grey_failure_slow_link", Protocol::kAtlas, 1, 1,
+       0xeb9168aa81e2d41dull, 0x2746004c4baa0372ull, 180},
+      {"grey_failure_slow_link", Protocol::kAtlas, 1, 2,
+       0x73c7639c4a89d379ull, 0x10a23fffc1ed8f74ull, 180},
+      {"kill_one_replica", Protocol::kAtlas, 4, 1,
+       0xbb15ffd623bccf22ull, 0x592961487383bb44ull, 180},
+      {"kill_one_replica", Protocol::kAtlas, 4, 2,
+       0x13776f8fa45e9419ull, 0xe304527e48dfbb20ull, 180},
+      {"rolling_restarts", Protocol::kAtlas, 4, 1,
+       0xa01d27d02c53a4caull, 0x8e23b5894d6157feull, 180},
+      {"rolling_restarts", Protocol::kAtlas, 4, 2,
+       0x8504b95b904f860dull, 0x0d2877f66655a650ull, 178},
+      {"partition_region_mid_commit", Protocol::kAtlas, 4, 1,
+       0xace044f92a5a137eull, 0xc9a8cf04226ce041ull, 180},
+      {"partition_region_mid_commit", Protocol::kAtlas, 4, 2,
+       0x99189f3dfa798d8cull, 0x83bdb40c4fc6715dull, 179},
+      {"grey_failure_slow_link", Protocol::kAtlas, 4, 1,
+       0x2c0eac964409c768ull, 0xca5762bc5da471a8ull, 180},
+      {"grey_failure_slow_link", Protocol::kAtlas, 4, 2,
+       0xd8712e409aef8ca1ull, 0xead1906b46f195a6ull, 180},
+      {"kill_one_replica", Protocol::kEPaxos, 1, 1,
+       0x387f80716a3bb705ull, 0x1b6c530b17744031ull, 169},
+      {"kill_one_replica", Protocol::kEPaxos, 1, 2,
+       0xdc39cf5a69fcac06ull, 0x849c937510228f52ull, 167},
+      {"rolling_restarts", Protocol::kEPaxos, 1, 1,
+       0xa20581880e2a0d24ull, 0xcf1d984331c1c593ull, 173},
+      {"rolling_restarts", Protocol::kEPaxos, 1, 2,
+       0xb9b11ac4ac7bcffeull, 0x280f46c1f7928980ull, 171},
+      {"partition_region_mid_commit", Protocol::kEPaxos, 1, 1,
+       0xacdeadd8b9414e27ull, 0x431c243bbeae0a50ull, 180},
+      {"partition_region_mid_commit", Protocol::kEPaxos, 1, 2,
+       0xc991e2a49af157bbull, 0xfda9be1b2765bfb5ull, 173},
+      {"grey_failure_slow_link", Protocol::kEPaxos, 1, 1,
+       0x1db10677f7ff631aull, 0x38f03849508d638eull, 173},
+      {"grey_failure_slow_link", Protocol::kEPaxos, 1, 2,
+       0xc882af90d41a9c0bull, 0x7083a128a35de151ull, 176},
+      {"kill_one_replica", Protocol::kEPaxos, 4, 1,
+       0x306dcabda06b5788ull, 0x27b82025cdbeecc0ull, 179},
+      {"kill_one_replica", Protocol::kEPaxos, 4, 2,
+       0x1b5d52aad46f0270ull, 0x8c5eb17a45977b37ull, 178},
+      {"rolling_restarts", Protocol::kEPaxos, 4, 1,
+       0x9ad6f3647e3668f7ull, 0x6e3b05028707d1b3ull, 180},
+      {"rolling_restarts", Protocol::kEPaxos, 4, 2,
+       0x655fef2070de56c1ull, 0x5c238782111ccc78ull, 169},
+      {"partition_region_mid_commit", Protocol::kEPaxos, 4, 1,
+       0x64f5d667bdc19ea3ull, 0x684707e9f41ce506ull, 180},
+      {"partition_region_mid_commit", Protocol::kEPaxos, 4, 2,
+       0xe97c141a8c4fa605ull, 0x3b5d46e267c7a5afull, 175},
+      {"grey_failure_slow_link", Protocol::kEPaxos, 4, 1,
+       0x796e698c0533bd0full, 0x6a7c424375c1e259ull, 180},
+      {"grey_failure_slow_link", Protocol::kEPaxos, 4, 2,
+       0x7108a233b1df8a89ull, 0xbb336e9468e56e01ull, 178},
+  };
+  for (const Pin& pin : kPins) {
+    fault::RunSpec spec;
+    spec.pack = pin.pack;
+    spec.seed = pin.seed;
+    spec.protocol = pin.protocol;
+    spec.partitions = pin.partitions;
+    spec.batch_window = pin.partitions > 1 ? 2 * common::kMillisecond : 0;
+    fault::RunResult r = fault::RunScenario(spec);
+    EXPECT_TRUE(r.pass) << fault::RerunCommand(spec);
+    EXPECT_EQ(r.schedule_digest, pin.schedule_digest) << fault::RerunCommand(spec);
+    EXPECT_EQ(r.store_digest, pin.store_digest) << fault::RerunCommand(spec);
+    EXPECT_EQ(r.completed, pin.completed) << fault::RerunCommand(spec);
+  }
+}
+
 }  // namespace

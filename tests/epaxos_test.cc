@@ -33,7 +33,8 @@ TEST(EPaxosConfigTest, FastQuorumSizes) {
 }
 
 struct TestCluster {
-  explicit TestCluster(uint32_t n, bool nfr = false) {
+  explicit TestCluster(uint32_t n, bool nfr = false,
+                       smr::RecoverySettings recovery = {}) {
     sim::Simulator::Options opts;
     opts.seed = 17;
     sim = std::make_unique<sim::Simulator>(
@@ -42,6 +43,7 @@ struct TestCluster {
       Config cfg;
       cfg.n = n;
       cfg.nfr = nfr;
+      cfg.recovery = recovery;
       engines.push_back(std::make_unique<EPaxosEngine>(cfg));
       sim->AddEngine(engines.back().get());
     }
@@ -239,6 +241,33 @@ TEST(EPaxosTest, NfrReadUsesMajorityAndSkipsDependencies) {
   tc.sim->Submit(5, smr::MakePut(3, 1, "k", "v2"));
   tc.sim->RunUntilIdle();
   EXPECT_EQ(tc.executed.size(), 3u * 7);
+}
+
+// Automatic recovery through OnSuspect + periodic scan (no explicit recovery calls):
+// the leader crashes after its pre-accepts landed, and the survivors that saw them
+// run explicit prepare until every command commits everywhere.
+TEST(EPaxosTest, SuspectScanRecoversAllPendingDots) {
+  smr::RecoverySettings recovery;
+  recovery.recovery_scan_interval = 100 * kMillisecond;
+  recovery.recovery_retry_interval = 300 * kMillisecond;
+  recovery.commit_timeout = 500 * kMillisecond;
+  TestCluster tc(5, /*nfr=*/false, recovery);
+  for (uint64_t i = 1; i <= 5; i++) {
+    tc.sim->Submit(0, smr::MakePut(1, i, "key" + std::to_string(i), "v"));
+  }
+  tc.sim->RunFor(11 * kMillisecond);  // pre-accepts delivered, no commits yet
+  tc.sim->Crash(0);
+  for (ProcessId p = 1; p < 5; p++) {
+    tc.engines[p]->OnSuspect(0);
+  }
+  tc.sim->RunUntilIdle();
+  uint64_t recoveries = 0;
+  for (ProcessId p = 1; p < 5; p++) {
+    EXPECT_EQ(tc.OrderAt(p).size(), 5u) << "process " << p;
+    EXPECT_EQ(tc.OrderAt(p), tc.OrderAt(1)) << "process " << p;
+    recoveries += tc.engines[p]->stats().recoveries_started;
+  }
+  EXPECT_GE(recoveries, 5u);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: dependency-set
-// algebra, codec, conflict index, the graph executor, the simulator deliver path,
-// Zipfian sampling, and the threaded runtime's fixed costs (shard runtime set-up and
-// the mailbox hop). Results are mirrored to BENCH_micro.json (see bench_json.h).
+// algebra, codec, conflict index, the decided log, the graph executor, the simulator
+// deliver path, Zipfian sampling, and the threaded runtime's fixed costs (shard
+// runtime set-up and the mailbox hop). Results are mirrored to BENCH_micro.json (see
+// bench_json.h).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "src/codec/codec.h"
@@ -18,6 +21,7 @@
 #include "src/rt/shard_runtime.h"
 #include "src/sim/simulator.h"
 #include "src/smr/conflict_index.h"
+#include "src/smr/decided_log.h"
 #include "src/smr/deployment.h"
 
 namespace {
@@ -179,6 +183,36 @@ void BM_Zipf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Zipf);
+
+// Recording a decided value into an engine's smr::DecidedLog once the horizon is
+// full, with range(0) client commands per entry: /1 is an unbatched P=1 replica's
+// put, /12 a P>1 shard's kBatch. The horizon counts client commands, so both hold
+// the same history; held_MB reports the chunk memory that takes.
+void BM_DecidedLogRecord(benchmark::State& state) {
+  const size_t per_entry = static_cast<size_t>(state.range(0));
+  std::vector<smr::Command> subs;
+  for (uint64_t i = 1; i <= per_entry; i++) {
+    subs.push_back(smr::MakePut(1, i, "key" + std::to_string(i), std::string(100, 'v')));
+  }
+  smr::Command cmd = subs[0];
+  if (per_entry > 1) {
+    codec::Writer scratch;
+    smr::MakeBatchInto(subs, scratch, cmd);
+  }
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  smr::DecidedLog log;
+  uint64_t seq = 1;
+  for (; seq <= 2 * smr::kDecidedHorizon / per_entry; seq++) {
+    log.Record(Dot{static_cast<common::ProcessId>(seq % 3), seq}, cmd, deps, seq);
+  }
+  for (auto _ : state) {
+    log.Record(Dot{static_cast<common::ProcessId>(seq % 3), seq}, cmd, deps, seq);
+    seq++;
+  }
+  state.counters["held_MB"] = static_cast<double>(log.held_bytes()) / (1 << 20);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DecidedLogRecord)->Arg(1)->Arg(12);
 
 // Per-shard set-up of the threaded runtime: a P=4 ShardRuntime (four workers'
 // inbox/outbox pairs, batch scratch) built and torn down over an unstarted

@@ -142,10 +142,12 @@ class AtlasEngine final : public smr::Engine {
   // When to recover a dot: suspicion, restarts, commit timeouts and watches.
   smr::RecoveryScheduler recovery_;
 
-  // Decided (committed) values, answering late MRec/MConsensus after the command
-  // executed and its Info was reclaimed. Full stability-based GC is out of scope; the
-  // log makes recovery of recently executed commands exact and falls back to silence
-  // (the recoverer learns from another replica) beyond its horizon.
+  // Decided (committed) values of the last smr::kDecidedHorizon client commands
+  // (a kBatch counts its sub-commands), answering late MRec/MConsensus after the
+  // command executed and its Info was reclaimed. Stability-based GC must wait for
+  // snapshot install: a restarted replica re-learns dependency chains through these
+  // answers. The log makes recovery of recently executed commands exact and falls
+  // back to silence (the recoverer learns from another replica) beyond its horizon.
   smr::DecidedLog decided_;
 };
 

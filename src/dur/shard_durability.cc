@@ -6,6 +6,7 @@
 #include <cerrno>
 
 #include "src/codec/codec.h"
+#include "src/smr/command.h"
 
 namespace dur {
 
@@ -77,7 +78,7 @@ uint64_t ShardDurability::Recover(smr::StateMachine& store) {
                       return;  // already in the snapshot
                     }
                     store.Apply(cmd);
-                    applied_count_ += CountOps(cmd);
+                    applied_count_ += smr::SubCommandCount(cmd);
                   });
   appends_since_snapshot_ = 0;
   return applied_count_;
@@ -89,7 +90,7 @@ bool ShardDurability::Admit(const common::Dot& dot, const smr::Command& cmd) {
   }
   log_.Append(dot, cmd);
   appends_since_snapshot_++;
-  applied_count_ += CountOps(cmd);
+  applied_count_ += smr::SubCommandCount(cmd);
   return true;
 }
 
@@ -133,20 +134,6 @@ void ShardDurability::NoteSeqFloor(uint64_t seq_floor) {
   if (WriteFloorsFile(dir_, FloorRecord{reserved})) {
     persisted_seq_floor_ = reserved;
   }
-}
-
-uint64_t ShardDurability::CountOps(const smr::Command& cmd) {
-  if (cmd.is_noop()) {
-    return 0;
-  }
-  if (!cmd.is_batch()) {
-    return 1;
-  }
-  // A batch's value leads with a varint sub-command count.
-  codec::Reader r(reinterpret_cast<const uint8_t*>(cmd.value.data()),
-                  cmd.value.size());
-  uint64_t n = r.Varint();
-  return r.ok() ? n : 0;
 }
 
 }  // namespace dur

@@ -93,10 +93,6 @@ class ShardDurability {
   const std::string& dir() const { return dir_; }
 
  private:
-  // Ops a command contributes to the applied count (batches count their
-  // sub-commands; noops count zero, matching the executor's accounting).
-  static uint64_t CountOps(const smr::Command& cmd);
-
   std::string dir_;
   Options opts_;
   CommitLog log_;

@@ -19,8 +19,9 @@
 // the policy Atlas uses too: suspicion, restart orphans and grace, the submitter's
 // commit timeout, and commit and gap watches, paced by one scan so lost Prepare rounds
 // retry. A restarted replica (ApplyRestartHint) re-learns decided commands through the
-// same scan; a bounded decided-value log answers Prepares for recently executed
-// commands whose Info was reclaimed.
+// same scan; a decided-value log bounded in client commands (smr::DecidedLog, a
+// batch weighing its sub-commands) answers Prepares for recently executed commands
+// whose Info was reclaimed.
 //
 // The NFR read optimization (§4) applies to EPaxos too (the paper's "*EPaxos"): enabled
 // via Config::nfr.

@@ -141,7 +141,8 @@ class MenciusEngine final : public smr::Engine {
   uint64_t execute_upto_ = 0;
   uint64_t max_seen_slot_ = 0;  // highest slot observed in traffic (catch-up bound)
   std::vector<Outcome> history_;  // bounded ring, see Outcome
-  // Ring capacity: the same recovery horizon as the Atlas/EPaxos decided logs.
+  // Ring capacity in slots. The Atlas/EPaxos decided logs count the same constant in
+  // client commands, so at P>1, where a slot carries a kBatch, this ring keeps more.
   size_t history_limit_ = smr::kDecidedHorizon;
   std::set<common::ProcessId> suspected_;
   bool restarted_ = false;

@@ -107,9 +107,11 @@ class ShardRuntime {
   explicit ShardRuntime(smr::Deployment* deployment);
   ~ShardRuntime();
 
-  // `fn` is invoked from worker threads whenever output lands in an empty
-  // outbox; it must be thread-safe and cheap (ring an eventfd the I/O loop
-  // watches). Set before Start().
+  // `fn` is invoked from worker threads after every output pushed to an outbox,
+  // and while a worker waits on a full one; it must be thread-safe and cheap.
+  // rt::Node rings a Doorbell, which costs one atomic exchange while the I/O
+  // thread is awake and writes its eventfd only when it is parked. Set before
+  // Start().
   void set_output_notify(std::function<void()> fn) { output_notify_ = std::move(fn); }
 
   // Spawns one worker per shard; each binds and starts its engine on its own

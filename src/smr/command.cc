@@ -185,4 +185,17 @@ bool UnpackBatch(const Command& batch, std::vector<Command>& out) {
   return true;
 }
 
+uint64_t SubCommandCount(const Command& cmd) {
+  if (cmd.is_noop()) {
+    return 0;
+  }
+  if (!cmd.is_batch()) {
+    return 1;
+  }
+  codec::Reader r(reinterpret_cast<const uint8_t*>(cmd.value.data()),
+                  cmd.value.size());
+  uint64_t n = r.Varint();
+  return r.ok() ? n : 0;
+}
+
 }  // namespace smr

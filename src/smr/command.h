@@ -114,6 +114,11 @@ void MakeBatchInto(const std::vector<Command>& cmds, codec::Writer& scratch,
 // `batch` is not a well-formed batch. `out` reuses its capacity across calls.
 bool UnpackBatch(const Command& batch, std::vector<Command>& out);
 
+// Client commands `cmd` carries: a kBatch's leading sub-command count (0 when that
+// varint is malformed), 1 for any other command, 0 for a noOp. Decodes nothing
+// past the count.
+uint64_t SubCommandCount(const Command& cmd);
+
 }  // namespace smr
 
 #endif  // SRC_SMR_COMMAND_H_

@@ -1,5 +1,6 @@
 #include "src/smr/decided_log.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/codec/codec.h"
@@ -18,16 +19,21 @@ void EncodeEntry(W& w, const Command& cmd, const common::DepSet& deps, uint64_t 
 
 }  // namespace
 
-DecidedLog::DecidedLog(size_t limit) : limit_(limit) { CHECK(limit > 0); }
+DecidedLog::DecidedLog(size_t limit) : limit_(limit) {
+  CHECK(limit > 0 && limit <= UINT32_MAX);
+}
 
 void DecidedLog::Record(const common::Dot& dot, const Command& cmd,
                         const common::DepSet& deps, uint64_t seqno) {
   if (index_.Contains(dot)) {
     return;
   }
+  // Weights past the horizon all mean "held alone", so clamping keeps them in 32 bits.
+  const uint64_t weight =
+      std::min<uint64_t>(std::max<uint64_t>(SubCommandCount(cmd), 1), limit_);
   // Evict first, so a chunk freed by the eviction can take the new entry.
-  if (next_ >= limit_) {
-    Evict(ring_[next_ % limit_]);
+  while (live_weight_ + weight > limit_) {
+    EvictOldest();
   }
   codec::SizeWriter size;
   EncodeEntry(size, cmd, deps, seqno);
@@ -38,17 +44,18 @@ void DecidedLog::Record(const common::Dot& dot, const Command& cmd,
   e.chunk = c;
   e.off = static_cast<uint32_t>(chunk.bytes.size());
   e.len = static_cast<uint32_t>(size.size());
+  e.weight = static_cast<uint32_t>(weight);
   // The chunk was sized to fit, so the writer appends without reallocating.
   codec::Writer w(std::move(chunk.bytes));
   EncodeEntry(w, cmd, deps, seqno);
   chunk.bytes = w.TakeBuffer();
   chunk.entries++;
   live_bytes_ += e.len;
-  if (ring_.size() < limit_) {
-    ring_.push_back(e);
-  } else {
-    ring_[next_ % limit_] = e;
+  live_weight_ += e.weight;
+  if (next_ - head_ == ring_.size()) {
+    GrowRing();
   }
+  ring_[next_ & (ring_.size() - 1)] = e;
   index_[dot] = next_++;
 }
 
@@ -58,7 +65,7 @@ bool DecidedLog::Find(const common::Dot& dot, Command* cmd, common::DepSet* deps
   if (n == nullptr) {
     return false;
   }
-  const Entry& e = ring_[*n % limit_];
+  const Entry& e = ring_[*n & (ring_.size() - 1)];
   codec::Reader r(chunks_[e.chunk].bytes.data() + e.off, e.len);
   Command c = Command::Decode(r);
   common::DepSet d = r.Deps();
@@ -76,9 +83,12 @@ bool DecidedLog::Find(const common::Dot& dot, Command* cmd, common::DepSet* deps
   return true;
 }
 
-void DecidedLog::Evict(const Entry& e) {
+void DecidedLog::EvictOldest() {
+  CHECK(head_ < next_);
+  const Entry& e = ring_[head_++ & (ring_.size() - 1)];
   index_.Erase(e.dot);
   live_bytes_ -= e.len;
+  live_weight_ -= e.weight;
   Chunk& chunk = chunks_[e.chunk];
   if (--chunk.entries > 0) {
     return;
@@ -88,6 +98,14 @@ void DecidedLog::Evict(const Entry& e) {
   } else {
     ReleaseChunk(e.chunk);
   }
+}
+
+void DecidedLog::GrowRing() {
+  std::vector<Entry> grown(ring_.empty() ? kMinRingSlots : 2 * ring_.size());
+  for (uint64_t n = head_; n < next_; n++) {
+    grown[n & (grown.size() - 1)] = ring_[n & (ring_.size() - 1)];
+  }
+  ring_.swap(grown);
 }
 
 uint32_t DecidedLog::ChunkFor(size_t len) {

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "src/core/atlas.h"
 #include "src/epaxos/epaxos.h"
@@ -338,6 +340,34 @@ TEST(AllocTest, DecidedLogRecordAfterWrapIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "decided-log records allocated " << allocs << " times for "
                         << kRecords << " records";
   EXPECT_EQ(log.size(), smr::kDecidedHorizon);
+}
+
+// The same at P>1, where each decided value is a kBatch of a dozen client commands:
+// the horizon counts those commands, so the ring wraps after kDecidedHorizon / 12
+// records and then reuses its slots and chunks just the same.
+TEST(AllocTest, DecidedLogBatchedRecordAfterWrapIsAllocationFree) {
+  std::vector<smr::Command> subs;
+  for (uint64_t i = 1; i <= 12; i++) {
+    subs.push_back(smr::MakePut(1, i, "key" + std::to_string(i), std::string(100, 'v')));
+  }
+  smr::Command batch;
+  codec::Writer scratch;
+  smr::MakeBatchInto(subs, scratch, batch);
+  smr::DecidedLog log;
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  uint64_t seq = 1;
+  for (; seq <= 2 * smr::kDecidedHorizon / subs.size(); seq++) {
+    log.Record(Dot{static_cast<ProcessId>(seq % 3), seq}, batch, deps, seq);
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t kRecords = 1000;
+  for (uint64_t i = 0; i < kRecords; i++, seq++) {
+    log.Record(Dot{static_cast<ProcessId>(seq % 3), seq}, batch, deps, seq);
+  }
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "batched decided-log records allocated " << allocs
+                        << " times for " << kRecords << " records";
+  EXPECT_EQ(log.size(), smr::kDecidedHorizon / subs.size());
 }
 
 // Pins the kBatch encode-scratch reuse (ROADMAP known-allocation): flushing a

@@ -1,7 +1,8 @@
 // DecidedLog: the bounded store of decided values behind Atlas/EPaxos recovery.
 // Pins the round trip of every value shape the engines record, the exact FIFO
-// horizon of the per-engine caches it replaced, and that the chunk memory it holds
-// tracks the live encoded bytes across many wraps.
+// horizon of the per-engine caches it replaced, the horizon's unit (client commands,
+// so a batch weighs its sub-commands), and that the chunk memory it holds tracks the
+// live encoded bytes across many wraps.
 #include "src/smr/decided_log.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,14 @@ Command MakeBatch(const std::vector<Command>& subs) {
   codec::Writer scratch;
   MakeBatchInto(subs, scratch, batch);
   return batch;
+}
+
+std::vector<Command> MakePuts(uint64_t client, size_t n) {
+  std::vector<Command> puts;
+  for (uint64_t i = 1; i <= n; i++) {
+    puts.push_back(MakePut(client, i, "key" + std::to_string(i), std::string(100, 'v')));
+  }
+  return puts;
 }
 
 void ExpectSameCommand(const Command& got, const Command& want) {
@@ -121,12 +130,13 @@ TEST(DecidedLogTest, HorizonIsExactFifo) {
 TEST(DecidedLogTest, HeldBytesTrackLiveBytesAcrossWraps) {
   // Mixed entry sizes (single puts and batches of up to 40 commands) so the live
   // window spans several chunks and chunks are released out of step with appends.
-  const size_t kLimit = 4096;
-  DecidedLog log(kLimit);
+  // An entry weighs 5.9 commands on average, so the window holds about kEntries.
+  const size_t kEntries = 4096;
+  DecidedLog log(6 * kEntries);
   common::Rng rng(17);
   std::vector<Command> subs;
   size_t max_live = 0;
-  for (uint64_t s = 1; s <= 20 * kLimit; s++) {
+  for (uint64_t s = 1; s <= 20 * kEntries; s++) {
     Command cmd;
     if (rng.Below(4) == 0) {
       subs.clear();
@@ -143,12 +153,100 @@ TEST(DecidedLogTest, HeldBytesTrackLiveBytesAcrossWraps) {
     log.Record(Dot{static_cast<common::ProcessId>(s % 5), s}, cmd,
                DepSet{Dot{0, s / 2}, Dot{1, s / 3}}, 0);
     max_live = std::max(max_live, log.live_bytes());
-    if (s > 2 * kLimit) {
+    if (s > 2 * kEntries) {
       ASSERT_LE(log.held_bytes(), log.live_bytes() + 2 * DecidedLog::kChunkBytes)
           << "after " << s << " records";
     }
   }
   EXPECT_GT(max_live, 2 * DecidedLog::kChunkBytes);  // the window spans chunks
+}
+
+TEST(DecidedLogTest, BatchUsesOneUnitPerSubCommand) {
+  const size_t kLimit = 20;
+  DecidedLog log(kLimit);
+  // A noOp and a plain command weigh 1 each; a batch of 7 weighs 7.
+  log.Record(Dot{0, 1}, MakeNoOp(), DepSet{});
+  log.Record(Dot{0, 2}, MakePut(1, 1, "a", "v"), DepSet{});
+  log.Record(Dot{1, 1}, MakeBatch(MakePuts(2, 7)), DepSet{});
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.live_weight(), 9u);
+  // 9 + 11 fills the horizon exactly: nothing is evicted.
+  log.Record(Dot{1, 2}, MakeBatch(MakePuts(3, 11)), DepSet{});
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.live_weight(), kLimit);
+  // One more command evicts the oldest entry (the noOp) only.
+  log.Record(Dot{0, 3}, MakePut(1, 2, "b", "v"), DepSet{});
+  EXPECT_EQ(log.live_weight(), kLimit);
+  EXPECT_FALSE(log.Find(Dot{0, 1}, nullptr, nullptr));
+  EXPECT_TRUE(log.Find(Dot{0, 2}, nullptr, nullptr));
+  // A batch of 3 needs two more units: the plain put (1) and then the batch of 7.
+  log.Record(Dot{2, 1}, MakeBatch(MakePuts(4, 3)), DepSet{});
+  EXPECT_FALSE(log.Find(Dot{0, 2}, nullptr, nullptr));
+  EXPECT_FALSE(log.Find(Dot{1, 1}, nullptr, nullptr));
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.live_weight(), 11u + 1 + 3);
+  for (const Dot& d : {Dot{1, 2}, Dot{0, 3}, Dot{2, 1}}) {
+    EXPECT_TRUE(log.Find(d, nullptr, nullptr)) << d.proc << "." << d.seq;
+  }
+}
+
+TEST(DecidedLogTest, BatchHeavierThanHorizonIsHeldAlone) {
+  const size_t kLimit = 8;
+  DecidedLog log(kLimit);
+  log.Record(Dot{0, 1}, MakePut(1, 1, "a", "v"), DepSet{});
+  log.Record(Dot{0, 2}, MakePut(1, 2, "b", "v"), DepSet{});
+  const Command heavy = MakeBatch(MakePuts(2, 3 * kLimit));
+  log.Record(Dot{1, 1}, heavy, DepSet{Dot{0, 2}});
+  EXPECT_EQ(log.size(), 1u);
+  Command got;
+  ASSERT_TRUE(log.Find(Dot{1, 1}, &got, nullptr));
+  ExpectSameCommand(got, heavy);
+  EXPECT_FALSE(log.Find(Dot{0, 1}, nullptr, nullptr));
+  EXPECT_FALSE(log.Find(Dot{0, 2}, nullptr, nullptr));
+  // The next record, however light, evicts it.
+  log.Record(Dot{0, 3}, MakePut(1, 3, "c", "v"), DepSet{});
+  EXPECT_FALSE(log.Find(Dot{1, 1}, nullptr, nullptr));
+  EXPECT_TRUE(log.Find(Dot{0, 3}, nullptr, nullptr));
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.live_weight(), 1u);
+}
+
+TEST(DecidedLogTest, BatchedStreamPlateausAfterFirstWrap) {
+  // Engine-sized horizon, 12 puts per dot as a sharded replica batches them: the
+  // log holds kDecidedHorizon / 12 entries, and its live and held bytes stop
+  // growing once the horizon first fills.
+  const size_t kPerBatch = 12;
+  const Command batch = MakeBatch(MakePuts(7, kPerBatch));
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  const size_t kEntries = kDecidedHorizon / kPerBatch;
+  DecidedLog log;
+  uint64_t s = 1;
+  for (; s <= kEntries + 1; s++) {
+    log.Record(Dot{static_cast<common::ProcessId>(s % 3), s}, batch, deps);
+  }
+  ASSERT_EQ(log.size(), kEntries);
+  const size_t live = log.live_bytes();
+  const size_t held = log.held_bytes();
+  for (; s <= 10 * kEntries; s++) {
+    log.Record(Dot{static_cast<common::ProcessId>(s % 3), s}, batch, deps);
+    ASSERT_EQ(log.live_bytes(), live) << "after " << s << " records";
+    // At most a spare chunk beyond the first wrap's.
+    ASSERT_LE(log.held_bytes(), held + DecidedLog::kChunkBytes)
+        << "after " << s << " records";
+  }
+  EXPECT_EQ(log.size(), kEntries);
+  EXPECT_EQ(log.live_weight(), kEntries * kPerBatch);
+
+  // The same commands unbatched hold more encoded bytes, not 12x fewer: batching
+  // only amortises the per-entry header and dependencies.
+  DecidedLog flat;
+  const Command put = MakePut(7, 1, "key1", std::string(100, 'v'));
+  for (uint64_t t = 1; t <= kDecidedHorizon + 1; t++) {
+    flat.Record(Dot{static_cast<common::ProcessId>(t % 3), t}, put, deps);
+  }
+  EXPECT_EQ(flat.size(), kDecidedHorizon);
+  EXPECT_LT(live, flat.live_bytes());
+  EXPECT_GT(live, flat.live_bytes() / 2);
 }
 
 }  // namespace

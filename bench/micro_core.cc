@@ -187,7 +187,8 @@ BENCHMARK(BM_Zipf);
 // Recording a decided value into an engine's smr::DecidedLog once the horizon is
 // full, with range(0) client commands per entry: /1 is an unbatched P=1 replica's
 // put, /12 a P>1 shard's kBatch. The horizon counts client commands, so both hold
-// the same history; held_MB reports the chunk memory that takes.
+// the same history; held_MB reports the chunk memory that takes, footprint_MB the
+// chunks plus the index.
 void BM_DecidedLogRecord(benchmark::State& state) {
   const size_t per_entry = static_cast<size_t>(state.range(0));
   std::vector<smr::Command> subs;
@@ -210,9 +211,35 @@ void BM_DecidedLogRecord(benchmark::State& state) {
     seq++;
   }
   state.counters["held_MB"] = static_cast<double>(log.held_bytes()) / (1 << 20);
+  state.counters["footprint_MB"] = static_cast<double>(log.footprint_bytes()) / (1 << 20);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DecidedLogRecord)->Arg(1)->Arg(12);
+
+// The recovery path's read: answering a late MRec/EpPrepare finds a live dot in a
+// full engine-horizon log of 100-byte puts and decodes its value and dependencies.
+// The dots visited stride through the live window, so most lookups miss the cache.
+void BM_DecidedLogFind(benchmark::State& state) {
+  const smr::Command put = smr::MakePut(1, 1, "key42", std::string(100, 'v'));
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  smr::DecidedLog log;
+  const uint64_t kRecords = 2 * smr::kDecidedHorizon;
+  for (uint64_t seq = 1; seq <= kRecords; seq++) {
+    log.Record(Dot{static_cast<common::ProcessId>(seq % 3), seq}, put, deps, seq);
+  }
+  const uint64_t first_live = kRecords - smr::kDecidedHorizon + 1;
+  uint64_t i = 0;
+  smr::Command cmd;
+  DepSet got;
+  for (auto _ : state) {
+    const uint64_t seq = first_live + i;
+    i = (i + 7919) % smr::kDecidedHorizon;
+    bool hit = log.Find(Dot{static_cast<common::ProcessId>(seq % 3), seq}, &cmd, &got);
+    benchmark::DoNotOptimize(hit);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DecidedLogFind);
 
 // Per-shard set-up of the threaded runtime: a P=4 ShardRuntime (four workers'
 // inbox/outbox pairs, batch scratch) built and torn down over an unstarted

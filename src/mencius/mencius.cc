@@ -31,8 +31,8 @@ smr::RestartHint MenciusEngine::restart_hint() const {
 void MenciusEngine::ApplyRestartHint(const smr::RestartHint& hint) {
   next_own_slot_ = std::max(next_own_slot_, hint.seq_floor);
   execute_upto_ = std::max(execute_upto_, hint.exec_floor);
-  // Outcomes below the floor stay unknown: ring entries are slot-validated, so the
-  // never-filled positions read as unknown without materializing them.
+  // Outcomes below the floor stay unknown: the history holds only slots executed
+  // since the restart, so the skipped-over ones read as unknown.
   restarted_ = true;
   MaybeRecoverBlocked();
 }
@@ -93,31 +93,14 @@ void MenciusEngine::Submit(smr::Command cmd) {
   }
 }
 
-const MenciusEngine::Outcome* MenciusEngine::FindOutcome(uint64_t slot) const {
-  uint64_t idx = slot % history_limit_;
-  if (idx >= history_.size() || history_[idx].what == 0 ||
-      history_[idx].slot != slot) {
-    return nullptr;
-  }
-  return &history_[idx];
-}
-
-void MenciusEngine::RememberOutcome(uint64_t slot, uint8_t what, smr::Command cmd) {
-  uint64_t idx = slot % history_limit_;
-  if (history_.size() <= idx) {
-    history_.resize(idx + 1);  // grows to at most history_limit_ entries
-  }
-  history_[idx] = Outcome{slot, what, std::move(cmd)};
-}
-
 bool MenciusEngine::AnswerIfDecided(ProcessId from, uint64_t slot) {
-  uint8_t what = 0;
+  uint64_t what = 0;  // 0 = unknown, 1 = command, 2 = skip
   const smr::Command* cmd = nullptr;
+  smr::Command executed;
   if (slot < execute_upto_) {
-    if (const Outcome* o = FindOutcome(slot)) {
-      what = o->what;
-      cmd = &o->cmd;
-    }
+    // A miss leaves `what` unknown.
+    history_.Find(common::Dot{OwnerOf(slot), slot}, &executed, nullptr, &what);
+    cmd = &executed;
   } else {
     auto it = log_.find(slot);
     if (it != log_.end()) {
@@ -440,10 +423,12 @@ void MenciusEngine::TryExecute() {
     Slot& s = it->second;
     if (s.state == SlotState::kCommitted) {
       stats_.executed++;
-      ctx_->Executed(common::Dot{OwnerOf(execute_upto_), execute_upto_}, s.cmd);
-      RememberOutcome(execute_upto_, 1, std::move(s.cmd));
+      const common::Dot dot{OwnerOf(execute_upto_), execute_upto_};
+      ctx_->Executed(dot, s.cmd);
+      history_.Record(dot, s.cmd, common::DepSet{}, 1);
     } else if (s.state == SlotState::kSkipped) {
-      RememberOutcome(execute_upto_, 2, smr::Command());
+      history_.Record(common::Dot{OwnerOf(execute_upto_), execute_upto_},
+                      smr::MakeNoOp(), common::DepSet{}, 2);
     } else {
       break;
     }

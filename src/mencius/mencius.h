@@ -23,7 +23,6 @@
 
 #include <map>
 #include <set>
-#include <vector>
 
 #include "src/common/quorum.h"
 #include "src/common/types.h"
@@ -84,16 +83,6 @@ class MenciusEngine final : public smr::Engine {
     common::Time next_revoke_at = 0;
   };
 
-  // What a slot resolved to, retained after execution so retransmitted proposals and
-  // revocations of old slots can be answered authoritatively (catch-up path). Kept in
-  // a bounded ring indexed slot % history_limit_; `slot` validates the entry, so
-  // evicted, never-filled, and pre-restart positions all read as unknown.
-  struct Outcome {
-    uint64_t slot = 0;
-    uint8_t what = 0;  // 0 = unknown, 1 = command, 2 = skip
-    smr::Command cmd;
-  };
-
   void HandlePropose(common::ProcessId from, const msg::MnPropose& m);
   void HandleAck(common::ProcessId from, const msg::MnAck& m);
   void HandleCommit(common::ProcessId from, const msg::MnCommit& m);
@@ -112,9 +101,6 @@ class MenciusEngine final : public smr::Engine {
   // True when the decided outcome of `slot` is already known locally; replies to
   // `from` with MnCommit / MnRevokeSkip accordingly (catch-up short-circuit).
   bool AnswerIfDecided(common::ProcessId from, uint64_t slot);
-  // Bounded executed-outcome ring: nullptr when the slot was evicted or never filled.
-  const Outcome* FindOutcome(uint64_t slot) const;
-  void RememberOutcome(uint64_t slot, uint8_t what, smr::Command cmd);
   // Commits an own proposed slot once its ack set is complete (all non-suspected
   // replicas) and forms a majority.
   bool AckSetComplete(const Slot& s) const;
@@ -140,10 +126,12 @@ class MenciusEngine final : public smr::Engine {
   uint64_t next_own_slot_ = 0;  // smallest unused slot owned by this process
   uint64_t execute_upto_ = 0;
   uint64_t max_seen_slot_ = 0;  // highest slot observed in traffic (catch-up bound)
-  std::vector<Outcome> history_;  // bounded ring, see Outcome
-  // Ring capacity in slots. The Atlas/EPaxos decided logs count the same constant in
-  // client commands, so at P>1, where a slot carries a kBatch, this ring keeps more.
-  size_t history_limit_ = smr::kDecidedHorizon;
+  // What each executed slot resolved to, kept so retransmitted proposals and
+  // revocations of old slots can be answered authoritatively (catch-up path). Keyed
+  // by Dot{OwnerOf(slot), slot}: a committed slot holds its command with seqno 1, a
+  // skip a noOp with seqno 2. Bounded like the Atlas/EPaxos decided logs, in client
+  // commands; evicted, never-filled and pre-restart slots read as unknown.
+  smr::DecidedLog history_;
   std::set<common::ProcessId> suspected_;
   bool restarted_ = false;
   bool retry_timer_armed_ = false;

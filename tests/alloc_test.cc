@@ -321,8 +321,8 @@ TEST(AllocTest, PayloadPoolRecyclesLargeValueBuffers) {
 }
 
 // Pins the decided log behind Atlas/EPaxos recovery (src/smr/decided_log.h): once
-// the ring has wrapped at the engines' horizon, recording a decided value reuses
-// the evicted entry's ring slot, index slot and recycled chunk bytes.
+// the log has wrapped at the engines' horizon, recording a decided value reuses the
+// evicted entry's index slot and recycled chunk bytes.
 TEST(AllocTest, DecidedLogRecordAfterWrapIsAllocationFree) {
   smr::DecidedLog log;
   const smr::Command cmd = smr::MakePut(1, 1, "key42", std::string(100, 'v'));
@@ -343,8 +343,8 @@ TEST(AllocTest, DecidedLogRecordAfterWrapIsAllocationFree) {
 }
 
 // The same at P>1, where each decided value is a kBatch of a dozen client commands:
-// the horizon counts those commands, so the ring wraps after kDecidedHorizon / 12
-// records and then reuses its slots and chunks just the same.
+// the horizon counts those commands, so the log wraps after kDecidedHorizon / 12
+// records and then reuses its index slots and chunks just the same.
 TEST(AllocTest, DecidedLogBatchedRecordAfterWrapIsAllocationFree) {
   std::vector<smr::Command> subs;
   for (uint64_t i = 1; i <= 12; i++) {

@@ -1,13 +1,16 @@
-// DecidedLog: the bounded store of decided values behind Atlas/EPaxos recovery.
-// Pins the round trip of every value shape the engines record, the exact FIFO
-// horizon of the per-engine caches it replaced, the horizon's unit (client commands,
-// so a batch weighs its sub-commands), and that the chunk memory it holds tracks the
-// live encoded bytes across many wraps.
+// DecidedLog: the bounded store of decided values behind Atlas/EPaxos recovery and
+// the Mencius slot history. Pins the round trip of every value shape the engines
+// record, the exact FIFO horizon of the per-engine caches it replaced, the horizon's
+// unit (client commands, so a batch weighs its sub-commands), that the chunk memory
+// it holds tracks the live encoded bytes across many wraps, and the layout's edges:
+// oversized entries in the chunk chain, dots recorded out of order, index growth,
+// and the per-entry footprint.
 #include "src/smr/decided_log.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -247,6 +250,146 @@ TEST(DecidedLogTest, BatchedStreamPlateausAfterFirstWrap) {
   EXPECT_EQ(flat.size(), kDecidedHorizon);
   EXPECT_LT(live, flat.live_bytes());
   EXPECT_GT(live, flat.live_bytes() / 2);
+}
+
+TEST(DecidedLogTest, OversizedEntryBetweenSmallOnesKeepsFifo) {
+  // The oversized entry takes a chunk of its own in the middle of the chain; the
+  // small ones around it sit in ordinary chunks before and after it.
+  const size_t kLimit = 8;
+  DecidedLog log(kLimit);
+  const uint64_t kBig = 5;
+  const uint64_t kRecords = 4 * kLimit;
+  for (uint64_t s = 1; s <= kRecords; s++) {
+    const std::string value(s == kBig ? DecidedLog::kChunkBytes + 100 : 100, 'v');
+    log.Record(Dot{static_cast<common::ProcessId>(s % 3), s},
+               MakePut(1, s, "k" + std::to_string(s), value), DepSet{}, s);
+    // Exactly the last kLimit records are held, whatever chunks they sit in.
+    for (uint64_t t = 1; t <= s; t++) {
+      Command cmd;
+      uint64_t seqno = 0;
+      const bool hit = log.Find(Dot{static_cast<common::ProcessId>(t % 3), t}, &cmd,
+                                nullptr, &seqno);
+      ASSERT_EQ(hit, t + kLimit > s) << "seq " << t << " after " << s << " records";
+      if (hit) {
+        EXPECT_EQ(cmd.key, "k" + std::to_string(t));
+        EXPECT_EQ(cmd.value.size(), t == kBig ? DecidedLog::kChunkBytes + 100 : 100);
+        EXPECT_EQ(seqno, t);
+      }
+    }
+    EXPECT_EQ(log.size(), std::min<size_t>(s, kLimit));
+  }
+  // Once the oversized entry is gone, so is its chunk: one chunk plus a spare.
+  EXPECT_LE(log.held_bytes(), 2 * DecidedLog::kChunkBytes);
+}
+
+TEST(DecidedLogTest, LateDotStaysFindableUntilEvicted) {
+  // A slow coordinator's dot can be decided long after newer dots of the same
+  // process; FIFO order is record order, not dot order.
+  const size_t kLimit = 50;
+  DecidedLog log(kLimit);
+  for (uint64_t s = 100; s < 130; s++) {
+    log.Record(Dot{0, s}, MakePut(1, s, "k", "v"), DepSet{});
+  }
+  const Dot late{0, 5};
+  log.Record(late, MakePut(2, 1, "late", "v"), DepSet{Dot{0, 129}});
+  // The late dot is evicted by the kLimit-th record after it, not before.
+  for (uint64_t s = 130; s < 130 + kLimit; s++) {
+    Command cmd;
+    DepSet deps;
+    ASSERT_TRUE(log.Find(late, &cmd, &deps)) << "before record " << s;
+    EXPECT_EQ(cmd.key, "late");
+    EXPECT_EQ(deps, (DepSet{Dot{0, 129}}));
+    log.Record(Dot{0, s}, MakePut(1, s, "k", "v"), DepSet{});
+  }
+  EXPECT_FALSE(log.Find(late, nullptr, nullptr));
+  EXPECT_TRUE(log.Find(Dot{0, 130}, nullptr, nullptr));
+}
+
+TEST(DecidedLogTest, RecordingAnEvictedDotStoresItFresh) {
+  const size_t kLimit = 4;
+  DecidedLog log(kLimit);
+  const Dot dot{1, 1};
+  log.Record(dot, MakePut(1, 1, "first", "v"), DepSet{}, 7);
+  for (uint64_t s = 2; s <= kLimit + 1; s++) {
+    log.Record(Dot{1, s}, MakePut(1, s, "k", "v"), DepSet{});
+  }
+  ASSERT_FALSE(log.Find(dot, nullptr, nullptr));
+  log.Record(dot, MakePut(1, 9, "second", "v"), DepSet{Dot{2, 2}}, 8);
+  Command cmd;
+  DepSet deps;
+  uint64_t seqno = 0;
+  ASSERT_TRUE(log.Find(dot, &cmd, &deps, &seqno));
+  EXPECT_EQ(cmd.key, "second");
+  EXPECT_EQ(deps, (DepSet{Dot{2, 2}}));
+  EXPECT_EQ(seqno, 8u);
+  EXPECT_EQ(log.size(), kLimit);
+  // It is now the newest entry: the next kLimit - 1 records leave it in place.
+  for (uint64_t s = 10; s < 10 + kLimit - 1; s++) {
+    log.Record(Dot{1, s}, MakePut(1, s, "k", "v"), DepSet{});
+  }
+  EXPECT_TRUE(log.Find(dot, nullptr, nullptr));
+  log.Record(Dot{1, 20}, MakePut(1, 20, "k", "v"), DepSet{});
+  EXPECT_FALSE(log.Find(dot, nullptr, nullptr));
+}
+
+TEST(DecidedLogTest, EveryLiveDotSurvivesIndexGrowth) {
+  // 13 processes whose sequence numbers advance at different paces, interleaved,
+  // so the index's probe runs mix many homes. The index grows several times before
+  // the horizon fills and keeps its size after; every growth keeps every live dot.
+  const size_t kLimit = 3000;
+  const common::ProcessId kProcs = 13;
+  DecidedLog log(kLimit);
+  common::Rng rng(5);
+  std::vector<uint64_t> next_seq(kProcs, 1);
+  std::deque<Dot> live;
+  size_t index_bytes = 0;
+  size_t growths = 0;
+  for (size_t r = 0; r < 3 * kLimit; r++) {
+    const auto p = static_cast<common::ProcessId>(rng.Below(kProcs));
+    const Dot dot{p, next_seq[p]};
+    next_seq[p] += 1 + rng.Below(3);
+    log.Record(dot, MakePut(p, dot.seq, "k", "v"), DepSet{}, dot.seq);
+    live.push_back(dot);
+    if (live.size() > kLimit) {
+      live.pop_front();
+    }
+    ASSERT_EQ(log.size(), live.size());
+    const size_t now = log.footprint_bytes() - log.held_bytes();
+    if (now == index_bytes) {
+      continue;
+    }
+    index_bytes = now;
+    growths++;
+    for (const Dot& d : live) {
+      uint64_t seqno = 0;
+      ASSERT_TRUE(log.Find(d, nullptr, nullptr, &seqno))
+          << d.proc << "." << d.seq << " after " << r + 1 << " records";
+      EXPECT_EQ(seqno, d.seq);
+    }
+  }
+  EXPECT_GE(growths, 5u);  // 16 slots up to 8192
+  for (const Dot& d : live) {
+    EXPECT_TRUE(log.Find(d, nullptr, nullptr)) << d.proc << "." << d.seq;
+  }
+}
+
+TEST(DecidedLogTest, FootprintIsBodyPlusAFewBytesPerEntry) {
+  // At the engine horizon with 100-byte puts, the chunks and the index together
+  // cost the encoded bodies plus at most 32 bytes per entry (header and index) and
+  // two chunks of slack (the partly evicted head and partly filled tail, or a
+  // spare).
+  const Command put = MakePut(1, 1, "key42", std::string(100, 'v'));
+  const DepSet deps{Dot{0, 1}, Dot{1, 2}, Dot{2, 3}};
+  DecidedLog log;
+  for (uint64_t s = 1; s <= 2 * kDecidedHorizon; s++) {
+    log.Record(Dot{static_cast<common::ProcessId>(s % 3), s}, put, deps, s);
+    if (s >= kDecidedHorizon) {
+      ASSERT_LE(log.footprint_bytes(),
+                log.live_bytes() + 32 * log.size() + 2 * DecidedLog::kChunkBytes)
+          << "after " << s << " records";
+    }
+  }
+  EXPECT_EQ(log.size(), kDecidedHorizon);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "src/core/atlas.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace atlas {
@@ -13,19 +11,8 @@ using common::ProcessId;
 using common::Quorum;
 
 AtlasEngine::AtlasEngine(Config config)
-    : config_(config),
-      index_(smr::MakeKeyIndex(config.index_mode)),
-      executor_(exec::BatchOrder::kDot,
-                [this](const Dot& dot, const smr::Command& cmd) {
-                  OnExecuteFromGraph(dot, cmd);
-                }),
-      recovery_(config.recovery) {
+    : DependencyEngine(exec::BatchOrder::kDot, config), config_(config) {
   config_.Validate();
-}
-
-void AtlasEngine::OnStart() {
-  CHECK_EQ(config_.n, n_);
-  recovery_.Start(ctx_, self_, n_);
 }
 
 Quorum AtlasEngine::PickFastQuorum(bool nfr_read) const {
@@ -39,11 +26,7 @@ Quorum AtlasEngine::PickSlowQuorum() const {
   return recovery_.PickQuorum(config_.SlowQuorumSize());
 }
 
-bool AtlasEngine::CommittedOrExecuted(const Dot& dot) const {
-  return executor_.IsCommitted(dot);
-}
-
-AtlasEngine::Phase AtlasEngine::PhaseOf(const Dot& dot) const {
+Phase AtlasEngine::PhaseOf(const Dot& dot) const {
   if (executor_.IsExecuted(dot)) {
     return Phase::kExecute;
   }
@@ -69,9 +52,7 @@ void AtlasEngine::Submit(smr::Command cmd) {
   Dot dot{self_, next_seq_++};  // line 2
   bool nfr = NfrRead(cmd);
 
-  Info& info = GetInfo(dot);
-  info.locally_submitted = true;
-  info.submitted_cmd = cmd;
+  GetInfo(dot).submitted_cmd = cmd;
 
   Quorum q = PickFastQuorum(nfr);  // line 4
 
@@ -83,12 +64,7 @@ void AtlasEngine::Submit(smr::Command cmd) {
   collect.nfr = nfr;
   // Line 5: send MCollect to the fast quorum (self-delivery is inline and runs the
   // MCollect handler below, which stores the command and acks).
-  for (ProcessId p : q) {
-    if (p != self_) {
-      SendTo(p, collect);
-    }
-  }
-  SendTo(self_, collect);
+  SendToQuorum(q, collect);
   recovery_.ArmCommitTimeout(dot);
 }
 
@@ -130,16 +106,16 @@ void AtlasEngine::HandleMCollectAck(ProcessId from, const msg::MCollectAck& m) {
   // Preconditions (line 13): still in collect phase at the coordinator, ack from a fast
   // quorum member, not a duplicate.
   if (info.phase != Phase::kCollect || m.dot.proc != self_ ||
-      !info.quorum.Contains(from) || info.collect_acked.Contains(from)) {
+      !info.quorum.Contains(from) || info.quorum_acked.Contains(from)) {
     return;
   }
-  info.collect_acked.Add(from);
+  info.quorum_acked.Add(from);
   if (info.collect_deps.capacity() == 0 && !spare_collect_deps_.empty()) {
     info.collect_deps = std::move(spare_collect_deps_.back());
     spare_collect_deps_.pop_back();
   }
   info.collect_deps.push_back(m.deps);
-  if (info.collect_acked == info.quorum) {  // "from all j in Q"
+  if (info.quorum_acked == info.quorum) {  // "from all j in Q"
     FinishCollect(m.dot, info);
   }
 }
@@ -172,7 +148,9 @@ void AtlasEngine::FinishCollect(const Dot& dot, Info& info) {
   spare_collect_deps_.push_back(std::move(info.collect_deps));
   if (fast_path) {
     stats_.fast_paths++;
-    CommitAndBroadcast(dot, info, info.cmd, scratch_deps_, /*fast_path=*/true);  // line 16
+    // Line 16.
+    CommitAndBroadcast(dot, info, info.cmd, scratch_deps_, /*seqno=*/0,
+                       /*fast_path=*/true);
     return;
   }
   stats_.slow_paths++;  // lines 17-19
@@ -194,12 +172,7 @@ void AtlasEngine::ProposeConsensus(const Dot& dot, Info& info, const smr::Comman
   prop.ballot = ballot;
   if (ballot == common::InitialBallot(self_)) {
     // Initial coordinator: Paxos phase 2 to a slow quorum of f+1 (line 18-19).
-    for (ProcessId p : PickSlowQuorum()) {
-      if (p != self_) {
-        SendTo(p, prop);
-      }
-    }
-    SendTo(self_, prop);
+    SendToQuorum(PickSlowQuorum(), prop);
   } else {
     // Recovery proposals go to all (lines 48-53): any f+1 acceptors suffice and the
     // recoverer does not know which processes are reachable.
@@ -208,14 +181,8 @@ void AtlasEngine::ProposeConsensus(const Dot& dot, Info& info, const smr::Comman
 }
 
 void AtlasEngine::HandleMConsensus(ProcessId from, const msg::MConsensus& m) {
-  if (CommittedOrExecuted(m.dot)) {
-    // The value is already decided; tell the proposer directly (mirrors lines 34-36).
-    msg::MCommit commit;
-    if (decided_.Find(m.dot, &commit.cmd, &commit.deps)) {
-      commit.dot = m.dot;
-      SendTo(from, commit);
-    }
-    return;
+  if (AnswerIfDecided(from, m.dot)) {
+    return;  // already decided: tell the proposer directly (mirrors lines 34-36)
   }
   Info& info = GetInfo(m.dot);
   if (info.bal > m.ballot) {  // precondition, line 21
@@ -245,116 +212,10 @@ void AtlasEngine::HandleMConsensusAck(ProcessId from, const msg::MConsensusAck& 
   }
   info.consensus_acked.Add(from);
   if (info.consensus_acked.size() == config_.SlowQuorumSize()) {  // |Q| = f+1
-    CommitAndBroadcast(m.dot, info, info.cmd, info.deps, /*fast_path=*/false);  // line 27
+    // Line 27.
+    CommitAndBroadcast(m.dot, info, info.cmd, info.deps, /*seqno=*/0,
+                       /*fast_path=*/false);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Commit (lines 28-30)
-// ---------------------------------------------------------------------------
-
-void AtlasEngine::CommitAndBroadcast(const Dot& dot, Info& info, const smr::Command& cmd,
-                                     const DepSet& deps, bool fast_path) {
-  msg::MCommit commit;
-  commit.dot = dot;
-  commit.cmd = cmd;
-  commit.deps = deps;
-  // The initial coordinator deciding at its initial ballot (fast path, or a slow path
-  // it proposed itself) commits without the payload to the fast-quorum members that
-  // acked its MCollect: each stored `cmd` then. That stays the decided command for as
-  // long as the member keeps the Info, because a value decided at the initial ballot
-  // is the value every higher ballot proposes (any recovery quorum intersects the
-  // fast quorum and the slow path's f+1 acceptors). A member that lost its Info (a
-  // restart) asks for the full commit (HandleMCommit). Recovery-decided commits and
-  // the decided-log replies stay full.
-  const bool initial = dot.proc == self_ &&
-                       (fast_path || info.proposal_ballot == common::InitialBallot(self_));
-  msg::MCommit bare;
-  if (initial) {
-    bare.dot = dot;
-    bare.deps = deps;
-    bare.has_cmd = false;
-  }
-  for (ProcessId p = 0; p < n_; p++) {
-    if (p != self_) {
-      SendTo(p, initial && info.collect_acked.Contains(p) ? bare : commit);
-    }
-  }
-  // `info` may be invalidated by self-commit (execution erases entries); apply last.
-  ApplyCommit(dot, cmd, deps, fast_path);
-}
-
-void AtlasEngine::HandleMCommit(ProcessId from, const msg::MCommit& m) {
-  if (m.has_cmd) {
-    ApplyCommit(m.dot, m.cmd, m.deps, /*fast_path=*/false);
-    return;
-  }
-  if (CommittedOrExecuted(m.dot)) {
-    return;
-  }
-  // A bare commit: the payload is the one this process stored from the coordinator's
-  // MCollect (a non-empty quorum marks that). ApplyCommit copies it out of the Info.
-  const Info* info = infos_.Find(m.dot);
-  if (info != nullptr && !info->quorum.empty()) {
-    ApplyCommit(m.dot, info->cmd, m.deps, /*fast_path=*/false);
-    return;
-  }
-  // The stored payload is gone (a restart wiped infos_): ask the committer for the
-  // full commit with a ballot-0 MRec. A process that decided the dot answers from its
-  // decided log; any other fails the MRec's ballot precondition and drops it. Until
-  // then the dot is pending here like any other, so the watch and the recovery scan
-  // still cover a lost reply.
-  recovery_.Watch(m.dot, GetInfo(m.dot).mark);
-  msg::MRec fetch;
-  fetch.dot = m.dot;
-  SendTo(from, fetch);
-}
-
-void AtlasEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd, const DepSet& deps,
-                              bool fast_path) {
-  if (CommittedOrExecuted(dot)) {  // precondition, line 29
-    return;
-  }
-  // Copy into per-engine scratch before touching infos_: the slow-path and recovery
-  // flows pass references into Info storage, which the flat map moves on rehash.
-  // The scratch reuses its capacity, so this allocates nothing in steady state.
-  commit_cmd_scratch_ = cmd;
-  commit_deps_scratch_ = deps;
-  Info& info = GetInfo(dot);
-  info.cmd = commit_cmd_scratch_;
-  info.deps = commit_deps_scratch_;
-  info.phase = Phase::kCommit;  // line 30
-  const bool was_locally_submitted = info.locally_submitted;
-  decided_.Record(dot, commit_cmd_scratch_, commit_deps_scratch_);
-  // Commands learned only at commit time still enter the conflict index: they are
-  // non-start identifiers, so later conflicts() calls must report them. NFR reads are
-  // never tracked.
-  if (!NfrRead(commit_cmd_scratch_)) {
-    index_->Record(dot, commit_cmd_scratch_);
-  }
-  stats_.committed++;
-  if (commit_cmd_scratch_.is_noop()) {
-    stats_.noops_committed++;
-  }
-  ctx_->Committed(dot, commit_cmd_scratch_, fast_path);
-  if (was_locally_submitted && commit_cmd_scratch_.is_noop() &&
-      !info.submitted_cmd.is_noop()) {
-    // Recovery replaced our submitted command with noOp before any process saw its
-    // payload: it will never execute under this dot. The driver may resubmit.
-    ctx_->Dropped(dot, info.submitted_cmd);
-  }
-  // Dependency tracking and the gap watch. Inserting may rehash infos_, so `info` is
-  // dead from here on.
-  recovery_.OnCommit(dot, commit_deps_scratch_, infos_,
-                     [this](const Dot& d) { return CommittedOrExecuted(d); });
-  // This call may execute `dot` (and others), erasing their infos_ entries.
-  executor_.Commit(dot, commit_cmd_scratch_, commit_deps_scratch_);
-}
-
-void AtlasEngine::OnExecuteFromGraph(const Dot& dot, const smr::Command& cmd) {
-  stats_.executed++;
-  infos_.Erase(dot);  // phase tracked by the executor from here on
-  ctx_->Executed(dot, cmd);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +223,7 @@ void AtlasEngine::OnExecuteFromGraph(const Dot& dot, const smr::Command& cmd) {
 // ---------------------------------------------------------------------------
 
 bool AtlasEngine::Recover(const Dot& dot) {
-  if (CommittedOrExecuted(dot)) {
+  if (executor_.IsCommitted(dot)) {
     return false;
   }
   Info& info = GetInfo(dot);
@@ -382,14 +243,7 @@ bool AtlasEngine::Recover(const Dot& dot) {
 
 void AtlasEngine::HandleMRec(ProcessId from, const msg::MRec& m) {
   // Lines 34-36: already decided, short-circuit with MCommit.
-  if (CommittedOrExecuted(m.dot)) {
-    msg::MCommit commit;
-    if (decided_.Find(m.dot, &commit.cmd, &commit.deps)) {
-      commit.dot = m.dot;
-      SendTo(from, commit);
-    }
-    // Beyond the decided log's horizon: stay silent; the recoverer learns the value
-    // from a replica that still caches it (recovering ancient commands is rare).
+  if (AnswerIfDecided(from, m.dot)) {
     return;
   }
   Info& info = GetInfo(m.dot);
@@ -482,27 +336,6 @@ void AtlasEngine::HandleMRecAck(ProcessId from, const msg::MRecAck& m) {
   ProposeConsensus(m.dot, info, smr::MakeNoOp(), DepSet(), b);
 }
 
-void AtlasEngine::OnSuspect(ProcessId p) {
-  recovery_.OnSuspect(p, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
-}
-
-void AtlasEngine::OnRestore(ProcessId p, uint64_t seq_floor) {
-  recovery_.OnRestore(p, seq_floor, infos_, &Decided);
-}
-
-void AtlasEngine::OnTimer(uint64_t token) {
-  recovery_.OnTimer(token, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
-}
-
-smr::RestartHint AtlasEngine::restart_hint() const {
-  return smr::RestartHint{next_seq_, 0};
-}
-
-void AtlasEngine::ApplyRestartHint(const smr::RestartHint& hint) {
-  next_seq_ = std::max(next_seq_, hint.seq_floor);
-  recovery_.Restarted(next_seq_);
-}
-
 // ---------------------------------------------------------------------------
 
 void AtlasEngine::OnMessage(ProcessId from, const msg::Message& m) {
@@ -520,7 +353,7 @@ void AtlasEngine::OnMessage(ProcessId from, const msg::Message& m) {
       HandleMConsensusAck(from, msg::get<msg::MConsensusAck>(m));
       break;
     case 4:
-      HandleMCommit(from, msg::get<msg::MCommit>(m));
+      HandleCommit(from, msg::get<msg::MCommit>(m));
       break;
     case 5:
       HandleMRec(from, msg::get<msg::MRec>(m));

@@ -13,21 +13,14 @@ using common::ProcessId;
 using common::Quorum;
 
 EPaxosEngine::EPaxosEngine(Config config)
-    : config_(config),
-      index_(smr::MakeKeyIndex(config.index_mode)),
-      executor_(exec::BatchOrder::kSeqDot,
-                [this](const Dot& dot, const smr::Command& cmd) {
-                  stats_.executed++;
-                  infos_.Erase(dot);
-                  ctx_->Executed(dot, cmd);
-                }),
-      recovery_(config.recovery) {
+    : DependencyEngine(exec::BatchOrder::kSeqDot, config), config_(config) {
   CHECK_GE(config_.n, 3u);
 }
 
-void EPaxosEngine::OnStart() {
-  CHECK_EQ(config_.n, n_);
-  recovery_.Start(ctx_, self_, n_);
+void EPaxosEngine::RecordConflicts(const Dot& dot, const smr::Command& cmd,
+                                   uint64_t seqno) {
+  index_->Record(dot, cmd);
+  seqnos_[dot] = seqno;
 }
 
 uint64_t EPaxosEngine::MaxConflictSeq(const DepSet& deps) const {
@@ -55,12 +48,7 @@ void EPaxosEngine::Submit(smr::Command cmd) {
   pre.seqno = MaxConflictSeq(pre.deps) + 1;
   pre.quorum = q;
   pre.nfr = nfr;
-  for (ProcessId p : q) {
-    if (p != self_) {
-      SendTo(p, pre);
-    }
-  }
-  SendTo(self_, pre);
+  SendToQuorum(q, pre);
   recovery_.ArmCommitTimeout(dot);
 }
 
@@ -83,8 +71,7 @@ void EPaxosEngine::HandlePreAccept(ProcessId from, const msg::EpPreAccept& m) {
   info.deps.UnionWith(m.deps);
   uint64_t seqno = std::max(m.seqno, MaxConflictSeq(info.deps) + 1);
   if (!m.nfr) {
-    index_->Record(m.dot, m.cmd);
-    seqnos_[m.dot] = seqno;
+    RecordConflicts(m.dot, m.cmd, seqno);
   }
   info.phase = Phase::kPreAccepted;
   info.cmd = m.cmd;
@@ -105,7 +92,7 @@ void EPaxosEngine::HandlePreAcceptAck(ProcessId from, const msg::EpPreAcceptAck&
   }
   Info& info = *found;
   if (m.dot.proc != self_ || info.phase != Phase::kPreAccepted ||
-      !info.quorum.Contains(from) || info.preaccept_acked.Contains(from)) {
+      !info.quorum.Contains(from) || info.quorum_acked.Contains(from)) {
     return;
   }
   if (info.bal != 0) {
@@ -118,13 +105,13 @@ void EPaxosEngine::HandlePreAcceptAck(ProcessId from, const msg::EpPreAcceptAck&
   // the leader's own (deps, seqno) — which are fixed for the whole collection (set
   // when the leader processed its own EpPreAccept, mutated again only after the
   // decision). Storing the acks was the leader-side per-command allocation.
-  info.preaccept_acked.Add(from);
+  info.quorum_acked.Add(from);
   info.pre_union_deps.UnionWith(m.deps);
   info.pre_union_seqno = std::max(info.pre_union_seqno, m.seqno);
   if (m.deps != info.deps || m.seqno != info.seqno) {
     info.pre_acks_match = false;
   }
-  if (info.preaccept_acked != info.quorum) {
+  if (info.quorum_acked != info.quorum) {
     return;
   }
 
@@ -133,7 +120,7 @@ void EPaxosEngine::HandlePreAcceptAck(ProcessId from, const msg::EpPreAcceptAck&
     info.deps = std::move(info.pre_union_deps);
     info.seqno = info.pre_union_seqno;
     stats_.fast_paths++;
-    CommitAndBroadcast(m.dot, info, /*fast_path=*/true);
+    CommitAndBroadcast(m.dot, info, info.cmd, info.deps, info.seqno, /*fast_path=*/true);
     return;
   }
 
@@ -142,7 +129,7 @@ void EPaxosEngine::HandlePreAcceptAck(ProcessId from, const msg::EpPreAcceptAck&
   // (deps, seqno) are its own contribution; all replies must equal it.
   if (info.pre_acks_match) {
     stats_.fast_paths++;
-    CommitAndBroadcast(m.dot, info, /*fast_path=*/true);
+    CommitAndBroadcast(m.dot, info, info.cmd, info.deps, info.seqno, /*fast_path=*/true);
     return;
   }
   // Slow path: union deps, max seq, then Paxos-Accept with a majority. The
@@ -164,13 +151,7 @@ void EPaxosEngine::RunAcceptPhase(const Dot& dot, Info& info, const smr::Command
   acc.seqno = seqno;
   acc.ballot = ballot;
   // A majority acknowledgement suffices; send to the closest responsive majority.
-  Quorum q = recovery_.PickQuorum(config_.MajoritySize());
-  for (ProcessId p : q) {
-    if (p != self_) {
-      SendTo(p, acc);
-    }
-  }
-  SendTo(self_, acc);
+  SendToQuorum(recovery_.PickQuorum(config_.MajoritySize()), acc);
 }
 
 void EPaxosEngine::HandleAccept(ProcessId from, const msg::EpAccept& m) {
@@ -188,8 +169,7 @@ void EPaxosEngine::HandleAccept(ProcessId from, const msg::EpAccept& m) {
   info.bal = m.ballot;
   info.abal = m.ballot;
   if (!NfrRead(m.cmd)) {
-    index_->Record(m.dot, m.cmd);
-    seqnos_[m.dot] = m.seqno;
+    RecordConflicts(m.dot, m.cmd, m.seqno);
   }
   msg::EpAcceptAck ack;
   ack.dot = m.dot;
@@ -209,114 +189,8 @@ void EPaxosEngine::HandleAcceptAck(ProcessId from, const msg::EpAcceptAck& m) {
   }
   info.accept_acked.Add(from);
   if (info.accept_acked.size() == config_.MajoritySize()) {
-    CommitAndBroadcast(m.dot, info, /*fast_path=*/false);
+    CommitAndBroadcast(m.dot, info, info.cmd, info.deps, info.seqno, /*fast_path=*/false);
   }
-}
-
-void EPaxosEngine::CommitAndBroadcast(const Dot& dot, Info& info, bool fast_path) {
-  msg::EpCommit commit;
-  commit.dot = dot;
-  commit.cmd = info.cmd;
-  commit.deps = info.deps;
-  commit.seqno = info.seqno;
-  // As in Atlas: the command leader deciding at its initial ballot (fast path, or the
-  // Accept it ran itself) commits without the payload to the pre-accept quorum
-  // members that acked, which stored `cmd` then. A value decided at the initial
-  // ballot is the value every higher ballot proposes (a recovery majority meets the
-  // fast quorum or the accepting majority), so their Info holds the decided command
-  // while it exists; one that lost it (a restart) asks for the full commit
-  // (HandleCommit). Recovery-decided and decided-log commits stay full.
-  const bool initial = dot.proc == self_ &&
-                       (fast_path || info.proposal_ballot == common::InitialBallot(self_));
-  msg::EpCommit bare;
-  if (initial) {
-    bare.dot = dot;
-    bare.deps = info.deps;
-    bare.seqno = info.seqno;
-    bare.has_cmd = false;
-  }
-  for (ProcessId p = 0; p < n_; p++) {
-    if (p != self_) {
-      SendTo(p, initial && info.preaccept_acked.Contains(p) ? bare : commit);
-    }
-  }
-  ApplyCommit(dot, commit.cmd, commit.deps, commit.seqno, fast_path);
-}
-
-void EPaxosEngine::HandleCommit(ProcessId from, const msg::EpCommit& m) {
-  if (m.has_cmd) {
-    ApplyCommit(m.dot, m.cmd, m.deps, m.seqno, /*fast_path=*/false);
-    return;
-  }
-  if (executor_.IsCommitted(m.dot)) {
-    return;
-  }
-  // A bare commit: the payload is the one this process stored from the leader's
-  // EpPreAccept (a non-empty quorum marks that). Copied out first: ApplyCommit
-  // inserts into infos_, which would move the Info under a reference.
-  const Info* info = infos_.Find(m.dot);
-  if (info != nullptr && !info->quorum.empty()) {
-    commit_cmd_scratch_ = info->cmd;
-    ApplyCommit(m.dot, commit_cmd_scratch_, m.deps, m.seqno, /*fast_path=*/false);
-    return;
-  }
-  // The stored payload is gone (a restart wiped infos_): ask the committer for the
-  // full commit with a ballot-0 EpPrepare. A process that decided the dot answers
-  // from its decided log; any other fails the ballot precondition and drops it. The
-  // watch and the recovery scan still cover a lost reply.
-  recovery_.Watch(m.dot, GetInfo(m.dot).mark);
-  msg::EpPrepare fetch;
-  fetch.dot = m.dot;
-  SendTo(from, fetch);
-}
-
-void EPaxosEngine::ApplyCommit(const Dot& dot, const smr::Command& cmd,
-                               const DepSet& deps, uint64_t seqno, bool fast_path) {
-  if (executor_.IsCommitted(dot)) {
-    return;
-  }
-  Info& info = GetInfo(dot);
-  info.phase = Phase::kCommitted;
-  info.cmd = cmd;
-  info.deps = deps;
-  info.seqno = seqno;
-  if (!NfrRead(cmd)) {
-    index_->Record(dot, cmd);
-    seqnos_[dot] = seqno;
-  }
-  stats_.committed++;
-  ctx_->Committed(dot, cmd, fast_path);
-  decided_.Record(dot, cmd, deps, seqno);
-  // Dependency tracking and the gap watch. Inserting may rehash infos_, so `info` is
-  // dead from here on.
-  recovery_.OnCommit(dot, deps, infos_,
-                     [this](const Dot& d) { return executor_.IsCommitted(d); });
-  executor_.Commit(dot, cmd, deps, seqno);
-}
-
-// ---------------------------------------------------------------------------
-// Conservative recovery (see header).
-// ---------------------------------------------------------------------------
-
-void EPaxosEngine::OnSuspect(ProcessId p) {
-  recovery_.OnSuspect(p, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
-}
-
-void EPaxosEngine::OnRestore(ProcessId p, uint64_t seq_floor) {
-  recovery_.OnRestore(p, seq_floor, infos_, &Decided);
-}
-
-void EPaxosEngine::OnTimer(uint64_t token) {
-  recovery_.OnTimer(token, infos_, &Decided, [this](const Dot& d) { return Recover(d); });
-}
-
-smr::RestartHint EPaxosEngine::restart_hint() const {
-  return smr::RestartHint{next_seq_, 0};
-}
-
-void EPaxosEngine::ApplyRestartHint(const smr::RestartHint& hint) {
-  next_seq_ = std::max(next_seq_, hint.seq_floor);
-  recovery_.Restarted(next_seq_);
 }
 
 bool EPaxosEngine::Recover(const Dot& dot) {
@@ -355,15 +229,10 @@ void EPaxosEngine::StartRecovery(const Dot& dot, Info& info) {
 }
 
 void EPaxosEngine::HandlePrepare(ProcessId from, const msg::EpPrepare& m) {
-  if (executor_.IsCommitted(m.dot)) {
-    // Already decided here. Answer from the decided log when possible; beyond its
-    // horizon stay silent rather than claim ignorance — a kNone reply for an executed
-    // command could let recovery commit a noOp in its place.
-    msg::EpCommit commit;
-    if (decided_.Find(m.dot, &commit.cmd, &commit.deps, &commit.seqno)) {
-      commit.dot = m.dot;
-      SendTo(from, commit);
-    }
+  if (AnswerIfDecided(from, m.dot)) {
+    // Beyond the decided log's horizon this stays silent rather than claim
+    // ignorance: a kNone reply for an executed command could let recovery commit a
+    // noOp in its place.
     return;
   }
   Info& info = GetInfo(m.dot);
@@ -473,12 +342,7 @@ void EPaxosEngine::HandlePrepareAck(ProcessId from, const msg::EpPrepareAck& m) 
     commit.deps = std::move(rec.committed_deps);
     commit.seqno = rec.committed_seqno;
     ApplyCommit(m.dot, commit.cmd, commit.deps, commit.seqno, /*fast_path=*/false);
-    // Let others know too.
-    for (ProcessId p = 0; p < n_; p++) {
-      if (p != self_) {
-        SendTo(p, commit);
-      }
-    }
+    SendToOthers(commit);  // let others know too
     return;
   }
   if (rec.accepted) {

@@ -80,11 +80,7 @@ void MenciusEngine::Submit(smr::Command cmd) {
   prop.slot = slot;
   prop.cmd = std::move(cmd);
   prop.own_next = next_own_slot_;
-  for (ProcessId p = 0; p < n_; p++) {
-    if (p != self_) {
-      SendTo(p, prop);
-    }
-  }
+  SendToOthers(prop);
   if (config_.commit_timeout > 0) {
     ctx_->SetTimer(config_.commit_timeout, (slot << 2) | kCommitTimeoutType);
   }
@@ -173,11 +169,7 @@ void MenciusEngine::SkipOwnSlotsBelow(uint64_t bound) {
   skip.owner = self_;
   skip.from = from;
   skip.to = bound;
-  for (ProcessId p = 0; p < n_; p++) {
-    if (p != self_) {
-      SendTo(p, skip);
-    }
-  }
+  SendToOthers(skip);
   TryExecute();
 }
 
@@ -221,11 +213,7 @@ void MenciusEngine::CommitOwnSlot(uint64_t slot, Slot& s) {
   msg::MnCommit commit;
   commit.slot = slot;
   commit.cmd = s.cmd;
-  for (ProcessId p = 0; p < n_; p++) {
-    if (p != self_) {
-      SendTo(p, commit);
-    }
-  }
+  SendToOthers(commit);
   TryExecute();  // may erase the slot; `s` must not be touched afterwards
 }
 

@@ -107,12 +107,7 @@ void PaxosEngine::ProposeInSlot(uint64_t slot, const smr::Command& cmd) {
   acc.slot = slot;
   acc.ballot = ballot_;
   acc.cmd = cmd;
-  for (ProcessId p : Phase2Quorum()) {
-    if (p != self_) {
-      SendTo(p, acc);
-    }
-  }
-  SendTo(self_, acc);
+  SendToQuorum(Phase2Quorum(), acc);
 }
 
 void PaxosEngine::HandleAccept(ProcessId from, const msg::PxAccept& m) {
@@ -158,11 +153,7 @@ void PaxosEngine::HandleAccepted(ProcessId from, const msg::PxAccepted& m) {
     msg::PxCommit commit;
     commit.slot = m.slot;
     commit.cmd = s.cmd;
-    for (ProcessId p = 0; p < n_; p++) {
-      if (p != self_) {
-        SendTo(p, commit);
-      }
-    }
+    SendToOthers(commit);
     CommitSlot(m.slot, s.cmd);
   }
 }

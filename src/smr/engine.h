@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/quorum.h"
 #include "src/common/types.h"
 #include "src/msg/message.h"
 #include "src/smr/command.h"
@@ -137,12 +138,29 @@ class Engine {
   // Sends to every member of the cluster; remote processes first, self last, so that
   // nested self-handling observes a fully issued broadcast.
   void SendAll(const msg::Message& m) {
+    SendToOthers(m);
+    SendTo(self_, m);
+  }
+
+  // Sends to every member of q in the same order: remote members first, self last.
+  void SendToQuorum(const common::Quorum& q, const msg::Message& m) {
+    for (common::ProcessId p : q) {
+      if (p != self_) {
+        SendTo(p, m);
+      }
+    }
+    if (q.Contains(self_)) {
+      SendTo(self_, m);
+    }
+  }
+
+  // Sends to every process but self, in id order.
+  void SendToOthers(const msg::Message& m) {
     for (common::ProcessId p = 0; p < n_; p++) {
       if (p != self_) {
         SendTo(p, m);
       }
     }
-    SendTo(self_, m);
   }
 
   common::ProcessId self_ = common::kInvalidProcess;

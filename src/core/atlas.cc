@@ -218,6 +218,9 @@ void AtlasEngine::HandleMConsensusAck(ProcessId from, const msg::MConsensusAck& 
   }
 }
 
+// Commit (lines 28-30) is the shared commit half: smr::DependencyEngine's
+// CommitAndBroadcast, HandleCommit and ApplyCommit.
+
 // ---------------------------------------------------------------------------
 // Recovery (Algorithm 2, lines 31-53)
 // ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ uint64_t EPaxosEngine::MaxConflictSeq(const DepSet& deps) const {
 void EPaxosEngine::Submit(smr::Command cmd) {
   stats_.submitted++;
   Dot dot{self_, next_seq_++};
+  GetInfo(dot).submitted_cmd = cmd;
   bool nfr = NfrRead(cmd);
   size_t fq_size = nfr ? config_.MajoritySize() : config_.FastQuorumSize();
   Quorum q = recovery_.PickQuorum(fq_size);

@@ -21,7 +21,8 @@
 // retry. A restarted replica (ApplyRestartHint) re-learns decided commands through the
 // same scan; a decided-value log bounded in client commands (smr::DecidedLog, a
 // batch weighing its sub-commands) answers Prepares for recently executed commands
-// whose Info was reclaimed.
+// whose Info was reclaimed. When recovery replaces a command with a noOp, its leader
+// reports it Dropped (smr::Context), so the client can resubmit at once.
 //
 // Everything after the decision (commit fan-out, commit bookkeeping, execution,
 // decided-log answers, recovery scheduling) is the commit half shared with Atlas
@@ -134,8 +135,8 @@ struct Info {
   // next prepare round carry the command so repliers can report fresh conflicts.
   bool rec_cmd_known = false;
 
-  // The commit half reports this command Dropped if recovery commits a noOp in
-  // its place; always a noOp here.
+  // The command this leader submitted (a noOp elsewhere), reported Dropped if
+  // recovery commits a noOp in its place.
   smr::Command submitted_cmd;
 };
 

@@ -231,7 +231,7 @@ class DependencyEngine : public Engine {
     ctx_->Committed(dot, commit_cmd_scratch_, fast_path);
     if (commit_cmd_scratch_.is_noop() && !info.submitted_cmd.is_noop()) {
       // Recovery replaced our submitted command with noOp before any process saw its
-      // payload: it will never execute under this dot. The driver may resubmit.
+      // payload: it will never execute under this dot. The client may resubmit.
       ctx_->Dropped(dot, info.submitted_cmd);
     }
     // Dependency tracking and the gap watch. Inserting may rehash infos_, so `info`

@@ -270,5 +270,63 @@ TEST(EPaxosTest, SuspectScanRecoversAllPendingDots) {
   EXPECT_GE(recoveries, 5u);
 }
 
+// The leader stays alive behind a partition while the survivors recover its command
+// to a noOp: after the heal it must learn the noOp and report its command Dropped
+// exactly once, so the client resubmits instead of waiting.
+TEST(EPaxosTest, LeaderLeftOutOfRecoveryMajorityGetsDropped) {
+  smr::RecoverySettings recovery;
+  recovery.recovery_scan_interval = 100 * kMillisecond;
+  recovery.recovery_retry_interval = 300 * kMillisecond;
+  recovery.commit_timeout = 500 * kMillisecond;
+  TestCluster tc(5, /*nfr=*/false, recovery);
+  std::vector<std::tuple<ProcessId, Dot, smr::Command>> dropped;
+  tc.sim->SetDroppedHandler([&](ProcessId p, const Dot& d, const smr::Command& c) {
+    dropped.emplace_back(p, d, c);
+    // Resubmit under a fresh sequence number, as the harness's clients do.
+    tc.sim->PostSubmitIn(0, p, smr::MakePut(c.client, c.seq + 1, c.key, "a"));
+  });
+  auto set_links = [&](bool out, bool in) {
+    for (ProcessId p = 1; p < 5; p++) {
+      tc.sim->SetLinkDown(0, p, out);
+      tc.sim->SetLinkDown(p, 0, in);
+    }
+  };
+  // <0,1> never leaves its leader (links drop at delivery time).
+  set_links(/*out=*/true, /*in=*/false);
+  tc.sim->Submit(0, smr::MakePut(1, 1, "k", "a"));
+  tc.sim->RunFor(15 * kMillisecond);
+  // The dependent <0,2> commits everywhere, so the survivors watch <0,1>.
+  set_links(false, false);
+  tc.sim->Submit(0, smr::MakePut(2, 1, "k", "b"));
+  tc.sim->RunFor(35 * kMillisecond);
+  // Partition the leader, and let the survivors suspect it as a failure detector
+  // would, so their accept quorums leave it out: they recover <0,1> without it.
+  set_links(true, true);
+  for (ProcessId p = 1; p < 5; p++) {
+    tc.engines[p]->OnSuspect(0);
+  }
+  tc.sim->RunFor(2 * common::kSecond);
+  for (ProcessId p = 1; p < 5; p++) {
+    EXPECT_EQ(tc.OrderAt(p), (std::vector<std::pair<uint64_t, uint64_t>>{{2, 1}}))
+        << "process " << p;
+    EXPECT_GE(tc.engines[p]->stats().noops_committed, 1u) << "process " << p;
+  }
+  EXPECT_TRUE(dropped.empty());
+  set_links(false, false);
+  tc.sim->RunUntilIdle();
+
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(std::get<0>(dropped[0]), 0u);
+  EXPECT_EQ(std::get<1>(dropped[0]), (Dot{0, 1}));
+  EXPECT_EQ(std::get<2>(dropped[0]).client, 1u);
+  EXPECT_EQ(std::get<2>(dropped[0]).seq, 1u);
+  // The original never executes; its resubmission and <0,2> execute once everywhere.
+  for (ProcessId p = 0; p < 5; p++) {
+    EXPECT_EQ(tc.OrderAt(p),
+              (std::vector<std::pair<uint64_t, uint64_t>>{{2, 1}, {1, 2}}))
+        << "process " << p;
+  }
+}
+
 }  // namespace
 }  // namespace epaxos

@@ -256,8 +256,9 @@ void BM_ShardRuntimeConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardRuntimeConstruct)->Unit(benchmark::kMicrosecond);
 
-// The mailbox hop: one ShardInput (an MCommit envelope, as the I/O thread
-// routes) crosses an SPSC edge to a second thread and returns on another.
+// The mailbox hop: one ShardInput (a client submit, the item the I/O thread
+// routes per command) crosses an SPSC edge to a second thread and returns on
+// another.
 // One iteration is a round trip, i.e. two hops; items/s counts hops.
 void BM_MailboxHop(benchmark::State& state) {
   rt::Mailbox<rt::ShardInput> to_worker(rt::kMailboxCapacity);
@@ -272,13 +273,9 @@ void BM_MailboxHop(benchmark::State& state) {
       }
     }
   });
-  msg::MCommit m;
-  m.cmd = smr::MakePut(1, 1, "key42", "value");
-  m.dot = Dot{0, 1};
-  m.deps = DepSet{Dot{0, 1}};
   rt::ShardInput item;
-  item.kind = rt::ShardInput::Kind::kMessage;
-  item.m = msg::Message{std::move(m)};
+  item.kind = rt::ShardInput::Kind::kSubmit;
+  item.cmd = smr::MakePut(1, 1, "key42", "value");
   for (auto _ : state) {
     while (!to_worker.TryPush(item)) {
     }

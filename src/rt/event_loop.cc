@@ -5,8 +5,6 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "src/common/check.h"
 
 namespace rt {
@@ -16,14 +14,8 @@ EventLoop::EventLoop() {
   CHECK_GE(epoll_fd_, 0);
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   CHECK_GE(wake_fd_, 0);
-  WatchFd(wake_fd_, EPOLLIN, [this](uint32_t) {
-    // One read zeroes the whole (non-semaphore) counter; a later wake keeps the
-    // level-triggered fd readable, so nothing posted after this read is missed.
-    uint64_t junk;
-    ssize_t rc = read(wake_fd_, &junk, sizeof(junk));
-    (void)rc;
-    DrainPosted();
-  });
+  // Stop() sets the flag before it writes the eventfd, so a woken loop sees it.
+  WatchFd(wake_fd_, EPOLLIN, [](uint32_t) {});
 }
 
 EventLoop::~EventLoop() {
@@ -42,8 +34,7 @@ common::Time EventLoop::NowUs() {
 }
 
 void EventLoop::WatchFd(int fd, uint32_t events, FdCallback cb) {
-  struct epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
+  struct epoll_event ev = {};
   ev.events = events;
   ev.data.fd = fd;
   bool existed = watches_.count(fd) > 0;
@@ -58,12 +49,7 @@ void EventLoop::ModifyFd(int fd, uint32_t events) {
   if (it->second.events == events) {
     return;
   }
-  it->second.events = events;
-  struct epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = events;
-  ev.data.fd = fd;
-  CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev), 0);
+  WatchFd(fd, events, it->second.cb);
 }
 
 void EventLoop::UnwatchFd(int fd) {
@@ -78,31 +64,9 @@ uint64_t EventLoop::AddTimer(common::Duration delay, TimerCallback cb) {
   return id;
 }
 
-void EventLoop::PostFromAnyThread(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(posted_mu_);
-    posted_.push_back(std::move(fn));
-  }
-  uint64_t one = 1;
-  ssize_t rc = write(wake_fd_, &one, sizeof(one));
-  (void)rc;
-}
-
-void EventLoop::DrainPosted() {
-  std::vector<std::function<void()>> batch;
-  {
-    std::lock_guard<std::mutex> lock(posted_mu_);
-    batch.swap(posted_);
-  }
-  for (auto& fn : batch) {
-    fn();
-  }
-}
-
 void EventLoop::Run() {
-  running_ = true;
   std::vector<struct epoll_event> events(64);
-  while (running_) {
+  while (!stopped_.load(std::memory_order_acquire)) {
     int timeout_ms = -1;
     common::Time now = NowUs();
     while (!timers_.empty() && timers_.top().deadline <= now) {
@@ -116,7 +80,7 @@ void EventLoop::Run() {
     }
     int nfds = epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                           timeout_ms);
-    for (int i = 0; i < nfds && running_; i++) {
+    for (int i = 0; i < nfds && !stopped_.load(std::memory_order_acquire); i++) {
       auto it = watches_.find(events[static_cast<size_t>(i)].data.fd);
       if (it != watches_.end()) {
         // Copy: the callback may unwatch (and erase) itself.
@@ -128,7 +92,10 @@ void EventLoop::Run() {
 }
 
 void EventLoop::Stop() {
-  PostFromAnyThread([this]() { running_ = false; });
+  stopped_.store(true, std::memory_order_release);
+  uint64_t one = 1;
+  ssize_t rc = write(wake_fd_, &one, sizeof(one));
+  (void)rc;
 }
 
 }  // namespace rt

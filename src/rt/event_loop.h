@@ -1,14 +1,14 @@
 // Minimal epoll-based event loop: non-blocking fd callbacks + monotonic timers.
 //
-// Single-threaded by design (one loop per replica); Post() is only safe from the loop
-// thread, except PostFromAnyThread which uses an eventfd wakeup.
+// Single-threaded by design (one loop per replica); only Stop() may be called from
+// another thread (it wakes the loop through an eventfd).
 #ifndef SRC_RT_EVENT_LOOP_H_
 #define SRC_RT_EVENT_LOOP_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -39,18 +39,13 @@ class EventLoop {
   // One-shot timer.
   uint64_t AddTimer(common::Duration delay, TimerCallback cb);
 
-  // Runs fn on the loop thread (thread-safe).
-  void PostFromAnyThread(std::function<void()> fn);
-
   void Run();   // until Stop()
-  void Stop();  // thread-safe
+  void Stop();  // thread-safe; a Stop() before Run() makes Run() return at once
 
  private:
-  void DrainPosted();
-
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
-  bool running_ = false;
+  std::atomic<bool> stopped_{false};
 
   struct Watch {
     FdCallback cb;
@@ -71,9 +66,6 @@ class EventLoop {
   };
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
   uint64_t next_timer_id_ = 1;
-
-  std::mutex posted_mu_;
-  std::vector<std::function<void()>> posted_;
 };
 
 }  // namespace rt

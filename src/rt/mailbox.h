@@ -1,9 +1,10 @@
 // Bounded lock-free SPSC mailbox + parkable doorbell: the edges of the
 // thread-per-shard runtime.
 //
-// The threaded runtime (src/rt/shard_runtime.h) connects its tiers with
-// single-producer/single-consumer edges: one inbox per (I/O thread -> shard
-// worker) and one outbox per (shard worker -> I/O thread). Each edge is a
+// The threaded runtime (src/rt/shard_runtime.h) connects the node's I/O thread
+// and its shard workers with single-producer/single-consumer edges: one inbox
+// per (I/O thread -> shard worker) and one outbox per (shard worker -> I/O
+// thread), carrying client work and sockets, never peer traffic. Each edge is a
 // Mailbox<T>: a ring with an exact capacity bound whose slots live in
 // fixed-size blocks. Storage grows one block at a time, and only when
 // occupancy reaches a new high; blocks form a cycle and are recycled until
@@ -25,7 +26,6 @@
 #ifndef SRC_RT_MAILBOX_H_
 #define SRC_RT_MAILBOX_H_
 
-#include <poll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
@@ -189,9 +189,9 @@ class Mailbox {
 };
 
 // Park/notify primitive for an idle mailbox consumer: an eventfd the consumer
-// blocks on (optionally with a timeout, for worker-local timer wheels), armed
-// only while it is actually about to sleep. Ring() is safe from any number of
-// producer threads; Wait() from the single consumer.
+// watches in its epoll set, armed only while it is actually about to sleep.
+// Ring() is safe from any number of producer threads; Arm/Disarm/Drain from
+// the single consumer.
 class Doorbell {
  public:
   Doorbell() {
@@ -210,48 +210,34 @@ class Doorbell {
 
   // Wakes the consumer if it is parked (or about to park). One atomic exchange
   // when the consumer is awake; the eventfd write only when it went to sleep.
-  void Ring() {
-    if (armed_.exchange(false, std::memory_order_seq_cst)) {
-      uint64_t one = 1;
-      ssize_t rc = write(fd_, &one, sizeof(one));
-      (void)rc;
+  // Returns true when it wrote the eventfd.
+  bool Ring() {
+    if (!armed_.exchange(false, std::memory_order_seq_cst)) {
+      return false;
     }
+    uint64_t one = 1;
+    ssize_t rc = write(fd_, &one, sizeof(one));
+    (void)rc;
+    return true;
   }
 
   // Arms the bell. The consumer must re-check its mailboxes after arming and
-  // before Wait(): a producer that pushed before seeing the armed flag will not
-  // ring, and the re-check is what catches its item. (The seq_cst arm/ring pair
-  // makes the push visible to that re-check.)
+  // before it sleeps on fd(): a producer that pushed before seeing the armed
+  // flag will not ring, and the re-check is what catches its item. (The
+  // seq_cst arm/ring pair makes the push visible to that re-check.)
   void Arm() { armed_.store(true, std::memory_order_seq_cst); }
+  // The consumer woke (for this bell or anything else it sleeps on).
+  void Disarm() { armed_.store(false, std::memory_order_seq_cst); }
 
-  // The eventfd, for consumers that integrate with an epoll loop instead of
-  // blocking in Wait() (arm with Arm(), clear readiness with Drain()).
   int fd() const { return fd_; }
 
-  // Clears the eventfd counter without blocking (epoll-integrated consumers).
-  // One read suffices: a non-semaphore eventfd read returns and zeroes the whole
-  // counter, and a ring landing after it leaves the fd readable again.
+  // Clears the eventfd counter without blocking. One read suffices: a
+  // non-semaphore eventfd read returns and zeroes the whole counter, and a
+  // ring landing after it leaves the fd readable again.
   void Drain() {
     uint64_t junk;
     ssize_t rc = read(fd_, &junk, sizeof(junk));
     (void)rc;
-  }
-
-  // Blocks until rung or timeout_us elapses (negative = no timeout). Returns
-  // true if rung. Disarms on return.
-  bool Wait(int64_t timeout_us) {
-    struct pollfd pfd;
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    int timeout_ms =
-        timeout_us < 0 ? -1 : static_cast<int>((timeout_us + 999) / 1000);
-    int rc = poll(&pfd, 1, timeout_ms);
-    armed_.store(false, std::memory_order_seq_cst);
-    if (rc > 0) {
-      Drain();
-      return true;
-    }
-    return false;
   }
 
  private:

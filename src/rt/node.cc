@@ -19,147 +19,24 @@ namespace rt {
 
 namespace {
 
-constexpr uint8_t kFrameMessage = 0;
-constexpr uint8_t kFramePeerHello = 1;
-constexpr uint8_t kFrameClientHello = 2;
-constexpr uint8_t kFrameCatchupReq = 3;
-constexpr uint8_t kFrameCatchupEntries = 4;
-
 constexpr common::Duration kRedialFloor = 50 * common::kMillisecond;
 constexpr common::Duration kRedialCap = common::kSecond;
-
-void SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  CHECK_GE(flags, 0);
-  CHECK_GE(fcntl(fd, F_SETFL, flags | O_NONBLOCK), 0);
-}
 
 void SetNoDelay(int fd) {
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+// One whole frame: the length, then w's payload.
+std::vector<uint8_t> Framed(const codec::Writer& w) {
+  auto len = static_cast<uint32_t>(w.size());
+  std::vector<uint8_t> out(4);
+  std::memcpy(out.data(), &len, 4);
+  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
+  return out;
+}
+
 }  // namespace
-
-// Framed, buffered, non-blocking TCP connection bound to a Node's event loop.
-class Connection {
- public:
-  Connection(Node* node, int fd) : node_(node), fd_(fd) {
-    SetNonBlocking(fd_);
-    SetNoDelay(fd_);
-    node_->loop_.WatchFd(fd_, EPOLLIN, [this](uint32_t events) { OnReady(events); });
-  }
-
-  ~Connection() {
-    if (fd_ >= 0) {
-      node_->loop_.UnwatchFd(fd_);
-      close(fd_);
-    }
-  }
-
-  void SendFrame(const std::vector<uint8_t>& payload) {
-    QueueFrame(payload);
-    Flush();
-  }
-
-  // Appends a frame to the write buffer without flushing. The drain path
-  // queues every frame a drain pass produces, then flushes each dirty
-  // connection once — one write syscall per socket per pass, however many
-  // shards fed it.
-  void QueueFrame(const std::vector<uint8_t>& payload) {
-    uint8_t header[4];
-    uint32_t len = static_cast<uint32_t>(payload.size());
-    std::memcpy(header, &len, 4);
-    out_.insert(out_.end(), header, header + 4);
-    out_.insert(out_.end(), payload.begin(), payload.end());
-  }
-
-  // MSG_NOSIGNAL: a peer that closed its end yields EPIPE (-> closed_) instead of
-  // a SIGPIPE that would kill the whole node.
-  void Flush() {
-    while (!out_.empty()) {
-      ssize_t n = send(fd_, out_.data(), out_.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        out_.erase(out_.begin(), out_.begin() + n);
-      } else {
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          closed_ = true;
-        }
-        break;
-      }
-    }
-    node_->loop_.ModifyFd(fd_, out_.empty() ? EPOLLIN : (EPOLLIN | EPOLLOUT));
-    if (closed_) {
-      node_->NoteClosed(this);
-    }
-  }
-
-  bool closed() const { return closed_; }
-  common::ProcessId peer_id = common::kInvalidProcess;  // set after peer hello
-  bool is_client = false;
-  bool dirty = false;  // queued frames awaiting the pass-end flush
-
- private:
-  void OnReady(uint32_t events) {
-    if (events & EPOLLOUT) {
-      Flush();
-    }
-    if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-      ReadAll();
-    }
-  }
-
-  // A short read means the socket is drained: stop there rather than pay one
-  // more read() for EAGAIN. The fd is watched level-triggered, so epoll
-  // reports it again when more data or EOF arrives.
-  void ReadAll() {
-    uint8_t buf[16 * 1024];
-    while (true) {
-      ssize_t n = read(fd_, buf, sizeof(buf));
-      if (n > 0) {
-        in_.insert(in_.end(), buf, buf + n);
-        if (static_cast<size_t>(n) < sizeof(buf)) {
-          break;
-        }
-      } else if (n == 0) {
-        closed_ = true;
-        break;
-      } else {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          break;
-        }
-        closed_ = true;
-        break;
-      }
-    }
-    size_t off = 0;
-    while (in_.size() - off >= 4) {
-      uint32_t len;
-      std::memcpy(&len, in_.data() + off, 4);
-      if (len > 64u * 1024 * 1024) {  // sanity bound
-        closed_ = true;
-        break;
-      }
-      if (in_.size() - off - 4 < len) {
-        break;
-      }
-      node_->OnFrame(this, in_.data() + off + 4, len);
-      off += 4 + len;
-    }
-    if (off > 0) {
-      in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(off));
-    }
-    if (closed_) {
-      node_->NoteClosed(this);
-    }
-  }
-
-  Node* node_;
-  int fd_;
-  std::vector<uint8_t> in_;
-  std::vector<uint8_t> out_;
-  bool closed_ = false;
-};
 
 Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
            smr::Deployment* deployment)
@@ -167,14 +44,20 @@ Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
   CHECK_LT(self_, peers_.size());
   CHECK(deployment_ != nullptr);
   shards_ = std::make_unique<ShardRuntime>(deployment_);
-  shards_->set_output_notify([this]() { out_bell_.Ring(); });
-  loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
-  out_bell_.Arm();
+  links_.resize(peers_.size() * shards_->partitions());
+  Doorbell& bell = shards_->output_bell();
+  loop_.WatchFd(bell.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
+  bell.Arm();
 }
 
 Node::~Node() {
   if (listen_fd_ >= 0) {
     close(listen_fd_);
+  }
+  for (PeerLink& l : links_) {
+    if (l.dial_fd >= 0) {
+      close(l.dial_fd);
+    }
   }
 }
 
@@ -197,7 +80,7 @@ bool Node::Listen() {
     peers_[self_].port = ntohs(addr.sin_port);
   }
   CHECK_EQ(listen(listen_fd_, 64), 0);
-  SetNonBlocking(listen_fd_);
+  CHECK_GE(fcntl(listen_fd_, F_SETFL, fcntl(listen_fd_, F_GETFL, 0) | O_NONBLOCK), 0);
   loop_.WatchFd(listen_fd_, EPOLLIN, [this](uint32_t) { AcceptReady(); });
   return true;
 }
@@ -208,175 +91,79 @@ void Node::AcceptReady() {
     if (fd < 0) {
       break;
     }
-    anonymous_.push_back(std::make_unique<Connection>(this, fd));
+    conns_.push_back(std::make_unique<Connection>(fd));
+    Connection* conn = conns_.back().get();
+    loop_.WatchFd(fd, EPOLLIN, [this, conn](uint32_t ev) { OnConnReady(conn, ev); });
   }
 }
 
 void Node::Run() {
   CHECK_GE(listen_fd_, 0);
-  // Dial peers with a higher id through the re-dial path: non-blocking and
-  // retried with backoff until the peer listens, so Stop() ends Run() even
-  // while a peer never comes up.
+  shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
+  // Dial every shard of every higher-id peer at once, through the re-dial
+  // path: non-blocking and retried with backoff until the peer listens, so
+  // Stop() ends Run() even while a peer never comes up.
   for (common::ProcessId p = self_ + 1; p < peers_.size(); p++) {
-    DialPeer(p);
+    for (uint32_t s = 0; s < shards_->partitions(); s++) {
+      DialPeer(p, s);
+    }
   }
-  MaybeStartEngine();
   loop_.Run();
   // Join every shard worker before returning control to the caller (who may
-  // destroy the deployment), then push out whatever the workers produced
+  // destroy the deployment), then push out the replies the workers produced
   // between the last drain and the join.
   shards_->Stop();
-  DrainShardOutputs();
+  shards_->DrainOutputs(*this);
   FlushDirty();
 }
 
-void Node::OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn) {
-  // A reconnect replaces any stale connection to the same peer; scrub every
-  // raw pointer to the old one before its unique_ptr frees it. An in-flight
-  // dial to that peer (it beat us to reconnecting) is abandoned too.
-  auto old = peer_conns_.find(peer);
-  if (old != peer_conns_.end() && old->second != nullptr) {
-    ForgetConn(old->second.get());
+void Node::OnConnReady(Connection* conn, uint32_t events) {
+  if (events & EPOLLOUT) {
+    MarkDirty(conn);
   }
-  auto dial = dialing_.find(peer);
-  if (dial != dialing_.end()) {
-    loop_.UnwatchFd(dial->second);
-    close(dial->second);
-    dialing_.erase(dial);
+  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) && !conn->closed() &&
+      !conn->ReadAll([this, conn](const uint8_t* data, size_t size) {
+        return OnFrame(conn, data, size);
+      })) {
+    NoteClosed();
   }
-  redial_backoff_.erase(peer);
-  peer_conns_[peer] = std::move(conn);
-  MaybeStartEngine();
+  FlushDirty();  // rejections and cached replies this frame batch produced
 }
 
-void Node::MaybeStartEngine() {
-  if (engine_started_ || peer_conns_.size() + 1 < peers_.size()) {
-    return;
-  }
-  engine_started_ = true;
-  // Each worker binds and starts its own shard engine on its own thread; the
-  // ShardedEngine wrapper stays out of the message path entirely. Workers
-  // apply recovered restart hints themselves, right after OnStart.
-  shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
-  SendCatchupRequests();
-  std::vector<PendingPeerFrame> frames;
-  frames.swap(pending_peer_frames_);
-  for (const PendingPeerFrame& f : frames) {
-    OnPeerFrame(f.from, f.bytes.data(), f.bytes.size());
-  }
-  for (smr::Command& cmd : pending_submits_) {
-    ShardInput in;
-    in.kind = ShardInput::Kind::kSubmit;
-    in.cmd = std::move(cmd);
-    uint32_t shard = 0;
-    deployment_->partitioner().SingleShard(in.cmd, &shard);  // validated on arrival
-    RouteWithRetry(shard, in);
-  }
-  pending_submits_.clear();
-}
-
-void Node::BufferPeerFrame(common::ProcessId from, const uint8_t* data,
-                           size_t size) {
-  // Overflow falls back to dropping, as before buffering existed; the window
-  // between mesh completion and engine start is a handful of milliseconds, so
-  // the cap exists only to bound a misbehaving peer.
-  constexpr size_t kMaxPendingPeerFrames = 65536;
-  if (pending_peer_frames_.size() >= kMaxPendingPeerFrames) {
-    return;
-  }
-  pending_peer_frames_.push_back(
-      PendingPeerFrame{from, std::vector<uint8_t>(data, data + size)});
-}
-
-void Node::SendCatchupRequests() {
-  if (catchup_requested_ || !deployment_->durable() ||
-      !deployment_->HasRecoveredState()) {
-    return;
-  }
-  catchup_requested_ = true;
-  const smr::Deployment::CatchupAdvert& adv = deployment_->catchup_advert();
-  encode_scratch_.Clear();
-  encode_scratch_.U8(kFrameCatchupReq);
-  encode_scratch_.U32(self_);
-  encode_scratch_.Varint(adv.shards.size());
-  for (const auto& s : adv.shards) {
-    encode_scratch_.Varint(s.seq_floor);
-    encode_scratch_.Bytes(s.frontier);
-  }
-  for (auto& [p, conn] : peer_conns_) {
-    if (conn != nullptr && !conn->closed()) {
-      conn->SendFrame(encode_scratch_.buffer());
-    }
-  }
-}
-
-void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
+bool Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
   codec::Reader r(data, size);
   uint8_t kind = r.U8();
-  switch (kind) {
-    case kFramePeerHello: {
-      common::ProcessId peer = r.U32();
-      if (!r.ok() || peer >= peers_.size()) {
-        return;
-      }
-      conn->peer_id = peer;
-      // Move from anonymous_ into peer_conns_.
-      for (auto& holder : anonymous_) {
-        if (holder.get() == conn) {
-          OnPeerConnected(peer, std::move(holder));
-          holder = nullptr;
-          break;
-        }
-      }
-      anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
-                       anonymous_.end());
-      break;
+  if (kind == kFrameClientHello) {
+    conn->is_client = true;
+  } else if (kind == kFrameMessage && conn->is_client) {
+    OnClientMessage(conn, r);
+  } else if (kind == kFramePeerHello && !conn->is_client) {
+    common::ProcessId peer = r.U32();
+    uint64_t shard = r.Varint();
+    if (!r.ok() || peer >= peers_.size() || peer == self_ ||
+        shard >= shards_->partitions()) {
+      return true;  // ignored, as any malformed frame
     }
-    case kFrameClientHello:
-      conn->is_client = true;
-      break;
-    case kFrameMessage:
-      if (conn->is_client) {
-        OnClientMessage(conn, r);
-        break;
-      }
-      [[fallthrough]];
-    case kFrameCatchupReq:
-    case kFrameCatchupEntries:
-      if (conn->peer_id != common::kInvalidProcess) {
-        OnPeerFrame(conn->peer_id, data, size);
-      }
-      break;
-    default:
-      break;
+    loop_.UnwatchFd(conn->fd());
+    std::vector<uint8_t> unread;
+    int fd = conn->Release(&unread);
+    NoteClosed();  // the husk is reaped
+    HandOff(static_cast<uint32_t>(shard), peer, fd, std::move(unread));
+    return false;
   }
+  return true;
 }
 
-void Node::OnPeerFrame(common::ProcessId from, const uint8_t* data, size_t size) {
-  if (!engine_started_) {
-    BufferPeerFrame(from, data, size);
-    return;
-  }
-  codec::Reader r(data, size);
-  switch (r.U8()) {
-    case kFrameMessage: {
-      ShardInput in;
-      in.kind = ShardInput::Kind::kMessage;
-      in.from = from;
-      // A malformed or foreign shard tag is swallowed, as ShardedEngine does.
-      if (msg::Decode(r, in.m) && in.m.shard < shards_->partitions()) {
-        RouteWithRetry(in.m.shard, in);
-      }
-      break;
-    }
-    case kFrameCatchupReq:
-      HandleCatchupRequest(r);
-      break;
-    case kFrameCatchupEntries:
-      HandleCatchupEntries(r);
-      break;
-    default:
-      break;
+void Node::HandOff(uint32_t shard, common::ProcessId peer, int fd,
+                   std::vector<uint8_t>&& unread) {
+  ShardInput in;
+  in.kind = ShardInput::Kind::kPeerConn;
+  in.from = peer;
+  in.fd = fd;
+  in.unread = std::move(unread);
+  if (!RouteWithRetry(shard, in)) {
+    close(fd);
+    OnPeerLost(shard, peer);  // as if the worker had lost it at once
   }
 }
 
@@ -389,15 +176,12 @@ void Node::OnClientMessage(Connection* conn, codec::Reader& r) {
   if (req == nullptr) {
     return;
   }
-  // kBatch is an internal composite (built by the sharded submission
-  // path, client 0): an untrusted client injecting one would crash the
-  // whole cluster at the deployment's unpack CHECK once it replicated.
-  // Reject it at the door, at any partition count. Everything else is
-  // validated against the deployment's Partitioner before it reaches
-  // an engine: a routable command lands directly in its shard worker's
-  // inbox, and unroutable input from an untrusted client (at P>1,
-  // noOps and key sets spanning partitions) is rejected as dropped
-  // instead of CHECK-crashing the replica.
+  // kBatch is an internal composite (client 0): one injected by an
+  // untrusted client would crash the cluster at the deployment's unpack
+  // CHECK once it replicated, so it is rejected at the door. Everything else
+  // must route through the deployment's Partitioner to one shard's inbox;
+  // unroutable input (at P>1, noOps and key sets spanning partitions) is
+  // rejected as dropped instead of CHECK-crashing the replica.
   uint32_t shard = 0;
   bool unroutable = req->cmd.is_batch() ||
                     !deployment_->partitioner().SingleShard(req->cmd, &shard);
@@ -430,61 +214,11 @@ void Node::OnClientMessage(Connection* conn, codec::Reader& r) {
     in_flight_.insert(key);
   }
   waiting_clients_[key] = conn;
-  if (!engine_started_) {
-    pending_submits_.push_back(std::move(req->cmd));
-    return;
-  }
+  // A worker whose engine has not started yet holds the command until it does.
   ShardInput in;
   in.kind = ShardInput::Kind::kSubmit;
   in.cmd = std::move(req->cmd);
   RouteWithRetry(shard, in);
-}
-
-void Node::HandleCatchupRequest(codec::Reader& r) {
-  common::ProcessId requester = r.U32();
-  uint64_t nshards = r.Varint();
-  if (!r.ok() || requester >= peers_.size() ||
-      nshards != deployment_->partitions()) {
-    return;
-  }
-  std::vector<uint64_t> floors(nshards);
-  std::vector<std::string> frontiers(nshards);
-  for (uint64_t s = 0; s < nshards; s++) {
-    floors[s] = r.Varint();
-    frontiers[s] = r.Bytes();
-  }
-  if (!r.ok()) {
-    return;
-  }
-  // Each shard worker OnRestore()s its engine and streams the missing log
-  // records back as kCatchup outputs. A dropped request leaves the requester
-  // behind until protocol recovery catches it up.
-  for (uint32_t s = 0; s < nshards; s++) {
-    ShardInput in;
-    in.kind = ShardInput::Kind::kCatchupReq;
-    in.from = requester;
-    in.seq_floor = floors[s];
-    in.blob = std::move(frontiers[s]);
-    RouteWithRetry(s, in);
-  }
-}
-
-void Node::HandleCatchupEntries(codec::Reader& r) {
-  uint64_t shard = r.Varint();
-  uint64_t count = r.Varint();
-  if (!r.ok() || shard >= deployment_->partitions()) {
-    return;
-  }
-  for (uint64_t i = 0; i < count; i++) {
-    ShardInput in;
-    in.kind = ShardInput::Kind::kCatchupEntry;
-    in.dot = r.Dot();
-    in.cmd = smr::Command::Decode(r);
-    if (!r.ok() || !in.dot.valid()) {
-      return;
-    }
-    RouteWithRetry(static_cast<uint32_t>(shard), in);
-  }
 }
 
 void Node::CompleteClient(uint64_t client, uint64_t seq,
@@ -504,7 +238,7 @@ void Node::CompleteClient(uint64_t client, uint64_t seq,
 }
 
 void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
-                     std::string&& value, bool dropped, bool flush) {
+                     std::string&& value, bool dropped) {
   if (conn == nullptr || conn->closed()) {
     return;
   }
@@ -513,68 +247,49 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
   reply.seq = seq;
   reply.value = std::move(value);
   reply.dropped = dropped;
-  encode_scratch_.Clear();
-  encode_scratch_.U8(kFrameMessage);
-  msg::Encode(encode_scratch_, msg::Message{reply});
-  if (flush) {
-    conn->SendFrame(encode_scratch_.buffer());
-  } else {
-    conn->QueueFrame(encode_scratch_.buffer());
-    MarkDirty(conn);
-  }
+  msg::Encode(conn->BeginFrame(kFrameMessage), msg::Message{std::move(reply)});
+  conn->EndFrame();
+  MarkDirty(conn);
 }
 
 // --- I/O tier ----------------------------------------------------------------
 
-void Node::RouteWithRetry(uint32_t shard, ShardInput& in) {
+bool Node::RouteWithRetry(uint32_t shard, ShardInput& in) {
   // Bounded retry, never a blocking wait: a full inbox with a live worker
   // drains in microseconds once we stop hogging the core; a dead worker's
   // inbox swallows input inside the runtime. Draining outboxes between
   // attempts keeps the worker from stalling on a full *outbox* while we spin
-  // on its inbox (the deadlock the mailbox discipline forbids).
+  // on its inbox (the deadlock the mailbox discipline forbids). Only client
+  // submits and socket handoffs cross here: protocol messages never do.
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
     if (shards_->Route(shard, in)) {
-      return;
+      return true;
     }
-    if (DrainShardOutputs() > 0) {
+    if (shards_->DrainOutputs(*this) > 0) {
       FlushDirty();
     }
     if (spin >= kMaxSpins) {
       shards_->CountDroppedInput();
-      return;
+      return false;
     }
     std::this_thread::yield();
   }
 }
 
 void Node::OnWorkerOutput() {
-  out_bell_.Drain();
+  Doorbell& bell = shards_->output_bell();
+  bell.Drain();
   while (true) {
-    DrainShardOutputs();
+    shards_->DrainOutputs(*this);
     FlushDirty();
-    out_bell_.Arm();
+    bell.Arm();
     // Arm-then-recheck: output pushed between the drain and the arm produced
     // no ring (bell was disarmed), so catch it here and go around again.
     if (!shards_->HasOutput()) {
       break;
     }
   }
-}
-
-size_t Node::DrainShardOutputs() { return shards_->DrainOutputs(*this); }
-
-void Node::OnPeerSend(common::ProcessId to, msg::Message& m) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
-    return;  // peer down; engines tolerate message loss
-  }
-  encode_scratch_.Clear();
-  encode_scratch_.Reserve(1 + msg::EncodedSize(m));
-  encode_scratch_.U8(kFrameMessage);
-  msg::Encode(encode_scratch_, m);
-  it->second->QueueFrame(encode_scratch_.buffer());
-  MarkDirty(it->second.get());
 }
 
 void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
@@ -589,26 +304,21 @@ void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
   }
   Connection* conn = it->second;
   waiting_clients_.erase(it);
-  SendReply(conn, client, seq, std::move(value), dropped, /*flush=*/false);
+  SendReply(conn, client, seq, std::move(value), dropped);
 }
 
-void Node::OnCatchupFrame(common::ProcessId to, std::string&& payload) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
-    return;  // requester vanished again; it will re-request on its next start
+void Node::OnPeerLost(uint32_t shard, common::ProcessId peer) {
+  link(peer, shard).up = false;
+  if (peer > self_) {
+    // Mesh rule: this node dials higher ids; a lost lower-id peer re-dials us
+    // when it notices the loss (or restarts).
+    ScheduleRedial(peer, shard);
   }
-  std::vector<uint8_t> frame;
-  frame.reserve(1 + payload.size());
-  frame.push_back(kFrameCatchupEntries);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  it->second->QueueFrame(frame);
-  MarkDirty(it->second.get());
 }
 
 // --- Connection loss, reaping and re-dialing --------------------------------
 
-void Node::NoteClosed(Connection* conn) {
-  (void)conn;
+void Node::NoteClosed() {
   if (reap_scheduled_) {
     return;
   }
@@ -622,67 +332,42 @@ void Node::NoteClosed(Connection* conn) {
   });
 }
 
-void Node::ForgetConn(Connection* conn) {
-  for (auto it = waiting_clients_.begin(); it != waiting_clients_.end();) {
-    if (it->second == conn) {
+void Node::ReapConnections() {
+  for (auto& holder : conns_) {
+    Connection* conn = holder.get();
+    if (!conn->closed()) {
+      continue;
+    }
+    for (auto it = waiting_clients_.begin(); it != waiting_clients_.end();) {
       // The command may still execute; on durable nodes its result lands in
       // the completion cache for the client's resubmission.
-      it = waiting_clients_.erase(it);
-    } else {
-      ++it;
+      it = it->second == conn ? waiting_clients_.erase(it) : std::next(it);
     }
+    dirty_conns_.erase(std::remove(dirty_conns_.begin(), dirty_conns_.end(), conn),
+                       dirty_conns_.end());
+    if (conn->fd() >= 0) {
+      loop_.UnwatchFd(conn->fd());
+    }
+    holder = nullptr;
   }
-  dirty_conns_.erase(std::remove(dirty_conns_.begin(), dirty_conns_.end(), conn),
-                     dirty_conns_.end());
+  conns_.erase(std::remove(conns_.begin(), conns_.end(), nullptr), conns_.end());
 }
 
-void Node::ReapConnections() {
-  for (auto& holder : anonymous_) {
-    if (holder->closed()) {
-      ForgetConn(holder.get());
-      holder = nullptr;
-    }
-  }
-  anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
-                   anonymous_.end());
-  for (auto it = peer_conns_.begin(); it != peer_conns_.end();) {
-    if (it->second != nullptr && it->second->closed()) {
-      common::ProcessId peer = it->first;
-      ForgetConn(it->second.get());
-      it = peer_conns_.erase(it);
-      if (peer > self_) {
-        // Mesh rule: this node dials higher ids; the lost lower-id peer will
-        // re-dial us when it notices the loss (or restarts).
-        ScheduleRedial(peer);
-      }
-    } else {
-      ++it;
-    }
-  }
+void Node::ScheduleRedial(common::ProcessId p, uint32_t shard) {
+  PeerLink& l = link(p, shard);
+  common::Duration delay = std::max(l.backoff, kRedialFloor);
+  l.backoff = std::min<common::Duration>(delay * 2, kRedialCap);
+  loop_.AddTimer(delay, [this, p, shard]() { DialPeer(p, shard); });
 }
 
-void Node::ScheduleRedial(common::ProcessId p) {
-  if (dialing_.find(p) != dialing_.end() ||
-      peer_conns_.find(p) != peer_conns_.end()) {
+void Node::DialPeer(common::ProcessId p, uint32_t shard) {
+  PeerLink& l = link(p, shard);
+  if (l.dial_fd >= 0 || l.up) {
     return;
-  }
-  common::Duration delay = kRedialFloor;
-  auto it = redial_backoff_.find(p);
-  if (it != redial_backoff_.end()) {
-    delay = it->second;
-  }
-  redial_backoff_[p] = std::min<common::Duration>(delay * 2, kRedialCap);
-  loop_.AddTimer(delay, [this, p]() { DialPeer(p); });
-}
-
-void Node::DialPeer(common::ProcessId p) {
-  if (dialing_.find(p) != dialing_.end() ||
-      peer_conns_.find(p) != peer_conns_.end()) {
-    return;  // the peer reconnected to us while we were backing off
   }
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
-    ScheduleRedial(p);
+    ScheduleRedial(p, shard);
     return;
   }
   struct sockaddr_in addr;
@@ -693,30 +378,37 @@ void Node::DialPeer(common::ProcessId p) {
   int rc = connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
     close(fd);
-    ScheduleRedial(p);
+    ScheduleRedial(p, shard);
     return;
   }
-  dialing_[p] = fd;
-  loop_.WatchFd(fd, EPOLLOUT, [this, p, fd](uint32_t) { OnDialReady(p, fd); });
+  l.dial_fd = fd;
+  loop_.WatchFd(fd, EPOLLOUT,
+                [this, p, shard, fd](uint32_t) { OnDialReady(p, shard, fd); });
 }
 
-void Node::OnDialReady(common::ProcessId p, int fd) {
+void Node::OnDialReady(common::ProcessId p, uint32_t shard, int fd) {
   loop_.UnwatchFd(fd);
-  dialing_.erase(p);
+  PeerLink& l = link(p, shard);
+  l.dial_fd = -1;
+  // The hello is the socket's first write, so the empty send buffer takes
+  // it whole; a short write counts as a failed dial.
+  codec::Writer hello;
+  hello.U8(kFramePeerHello);
+  hello.U32(self_);
+  hello.Varint(shard);
+  std::vector<uint8_t> frame = Framed(hello);
   int err = 0;
-  socklen_t len = sizeof(err);
-  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
+  socklen_t err_len = sizeof(err);
+  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0 ||
+      send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(frame.size())) {
     close(fd);
-    ScheduleRedial(p);
+    ScheduleRedial(p, shard);
     return;
   }
-  auto conn = std::make_unique<Connection>(this, fd);
-  encode_scratch_.Clear();
-  encode_scratch_.U8(kFramePeerHello);
-  encode_scratch_.U32(self_);
-  conn->SendFrame(encode_scratch_.buffer());
-  conn->peer_id = p;
-  OnPeerConnected(p, std::move(conn));
+  l.up = true;
+  l.backoff = 0;
+  HandOff(shard, p, fd, {});
 }
 
 void Node::MarkDirty(Connection* conn) {
@@ -729,7 +421,14 @@ void Node::MarkDirty(Connection* conn) {
 void Node::FlushDirty() {
   for (Connection* conn : dirty_conns_) {
     conn->dirty = false;
-    conn->Flush();
+    if (conn->closed()) {
+      continue;
+    }
+    if (!conn->Flush()) {
+      NoteClosed();
+    } else {
+      loop_.ModifyFd(conn->fd(), conn->wants_write() ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+    }
   }
   dirty_conns_.clear();
 }
@@ -773,10 +472,7 @@ bool Client::Connect() {
   // Client hello frame.
   codec::Writer w;
   w.U8(kFrameClientHello);
-  uint32_t len = static_cast<uint32_t>(w.size());
-  std::vector<uint8_t> out(4);
-  std::memcpy(out.data(), &len, 4);
-  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
+  std::vector<uint8_t> out = Framed(w);
   return send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
          static_cast<ssize_t>(out.size());
 }
@@ -792,10 +488,7 @@ bool Client::Send(const smr::Command& cmd) {
   w.Reserve(1 + msg::EncodedSize(wrapped));
   w.U8(kFrameMessage);
   msg::Encode(w, wrapped);
-  uint32_t len = static_cast<uint32_t>(w.size());
-  std::vector<uint8_t> out(4);
-  std::memcpy(out.data(), &len, 4);
-  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
+  std::vector<uint8_t> out = Framed(w);
   return send(fd_, out.data(), out.size(), MSG_NOSIGNAL) ==
          static_cast<ssize_t>(out.size());
 }

@@ -1,41 +1,35 @@
 // Real-runtime replica node: runs one smr::Deployment over TCP.
 //
 // A node listens on one port for both peer and client connections; frames are
-// 4-byte little-endian length + codec-encoded payload:
-//   message:         [u8 = 0][msg::Message]
-//   peer hello:      [u8 = 1][u32 sender_id]
-//   client hello:    [u8 = 2]
-//   catch-up request [u8 = 3][u32 requester][varint nshards]
-//                    [per shard: varint seq_floor, bytes(frontier)]
-//   catch-up entries [u8 = 4][varint shard][varint count][count x (dot, cmd)]
-// Peers form a full mesh (node i dials every peer j > i; lower ids accept). Client
-// ClientRequest commands are routed through the deployment's smr::Partitioner
-// straight to their partition's worker, and the reply is sent when the command
-// executes locally. The message envelope's shard tag round-trips through the
-// node unchanged.
+// 4-byte little-endian length + codec-encoded payload (rt::Connection):
+//   message:          [u8 = 0][msg::Message]
+//   peer hello:       [u8 = 1][u32 sender_id][varint shard]
+//   client hello:     [u8 = 2]
+//   catch-up request: [u8 = 3][varint seq_floor][bytes(frontier)]
+//   catch-up entries: [u8 = 4][(dot, cmd) ... to the end of the frame]
+// Peers form a full mesh with one connection per (peer, shard) pair: node i
+// dials every shard of every peer j > i, all at once and non-blocking; lower
+// ids accept. A peer connection carries one shard's traffic: its envelopes
+// bear that shard's tag, and its catch-up frames are that shard's.
 //
-// Thread per shard, at every partition count (P=1 runs one worker): the epoll
-// thread is a pure I/O tier — it decodes envelopes, routes them by shard tag
-// into SPSC mailboxes feeding one worker thread per shard
-// (src/rt/shard_runtime.h), and drains worker output back out, coalescing
-// outbound frames so each socket is written at most once per drain pass no
-// matter how many shards fed it. The workers, not the node, are the engines'
-// smr::Context.
+// Who owns which socket: the node's I/O thread (the one in Run()) owns the
+// listen socket, every connection until its hello, client connections, and
+// dialing. A peer connection, once its hello is sent (dialer) or read
+// (acceptor), belongs to its shard's worker (src/rt/shard_runtime.h), which
+// reports its loss back so the dialing side redials with backoff (the
+// accepting side waits for a fresh hello). Client requests go through the
+// deployment's smr::Partitioner to their partition's worker, which returns
+// the reply once the command executes locally.
 //
-// Fault tolerance: a lost peer socket is reaped and re-dialed with backoff
-// (the dialing side per the mesh rule above; the accepting side waits for the
-// fresh hello). A node constructed over a non-empty data_dir recovers its
-// stores from disk (snapshot + log tail, see src/dur), then — once the mesh
-// re-forms — advertises its per-shard executed-dot frontiers to every peer;
-// peers stream back the commits it missed, which apply through the normal
-// executed path (the durable admit filter deduplicates). Clients that vanish
-// mid-request are reaped too; on durable nodes a reconnecting client may
-// resubmit the same (client, seq) and gets the cached result instead of a
+// Durable restart: a node constructed over a non-empty data_dir recovers its
+// stores from disk (snapshot + log tail, see src/dur), and each worker
+// catches its shard up from its peers once the shard's mesh re-forms. Clients
+// that vanish mid-request are reaped; on durable nodes a reconnecting client
+// may resubmit the same (client, seq) and gets the cached result instead of a
 // re-execution.
 #ifndef SRC_RT_NODE_H_
 #define SRC_RT_NODE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -56,8 +50,6 @@ struct PeerAddress {
   uint16_t port = 0;
 };
 
-class Connection;
-
 class Node final : public ShardOutputSink {
  public:
   // The deployment (one node's full replica assembly: engine, per-shard stores,
@@ -68,9 +60,10 @@ class Node final : public ShardOutputSink {
 
   // Binds the listen socket; returns false on bind failure.
   bool Listen();
-  // Dials higher-id peers, waits for lower-id peers, then starts the engine and
+  // Starts the shard workers, dials every shard of every higher-id peer and
   // serves until Stop(), which ends it at any point (mesh complete or not).
-  // Blocks.
+  // Each worker starts its engine once its shard's peer connections are all
+  // up. Blocks.
   void Run();
   void Stop();
 
@@ -82,62 +75,60 @@ class Node final : public ShardOutputSink {
   uint64_t applied_ops() const { return shards_->applied_ops(); }
 
   // The node's shard workers. Exposed for fault drills (tests stop one shard's
-  // worker and assert clean node shutdown) and drop monitoring.
+  // worker and assert clean node shutdown), drop monitoring and the hop ledger.
   ShardRuntime* shard_runtime() { return shards_.get(); }
 
-  // ShardOutputSink (I/O thread): queue frames per connection; FlushDirty
-  // writes each touched socket once per drain pass.
-  void OnPeerSend(common::ProcessId to, msg::Message& m) override;
+  // ShardOutputSink (I/O thread): replies are queued per connection and
+  // FlushDirty writes each touched socket once per drain pass; a lost peer
+  // connection this node dialed is redialed.
   void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                      bool dropped) override;
-  void OnCatchupFrame(common::ProcessId to, std::string&& payload) override;
+  void OnPeerLost(uint32_t shard, common::ProcessId peer) override;
 
  private:
-  friend class Connection;
+  // A dialed (peer, shard) connection: in progress, handed to its worker, or
+  // waiting out its redial backoff.
+  struct PeerLink {
+    int dial_fd = -1;
+    bool up = false;
+    common::Duration backoff = 0;  // next redial delay; 0 = the floor
+  };
 
   void AcceptReady();
-  void OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn);
-  void OnFrame(Connection* conn, const uint8_t* data, size_t size);
+  void OnConnReady(Connection* conn, uint32_t events);
+  // Handles one frame of a connection the node owns; false once the
+  // connection was handed to a worker (the rest of its input goes along).
+  bool OnFrame(Connection* conn, const uint8_t* data, size_t size);
   // A client's message frame: validates and routes its ClientRequest.
   void OnClientMessage(Connection* conn, codec::Reader& r);
-  // The one handler of a peer's message and catch-up frames. Until this node's
-  // engine starts they are buffered (pending_peer_frames_) and replayed through
-  // here, in arrival order, the moment it does.
-  void OnPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
-  void MaybeStartEngine();
+  // Gives a peer socket and the input read past its hello to `shard`'s worker.
+  void HandOff(uint32_t shard, common::ProcessId peer, int fd,
+               std::vector<uint8_t>&& unread);
   // Connection teardown: a closed socket schedules a reap on the loop (never
   // destroyed mid-callback); the reap scrubs every raw pointer to the
-  // connection (waiting_clients_, dirty_conns_) before freeing it, and
-  // schedules a backoff re-dial when the lost peer is one this node dials.
-  void NoteClosed(Connection* conn);
+  // connection (waiting_clients_, dirty_conns_) before freeing it.
+  void NoteClosed();
   void ReapConnections();
-  void ForgetConn(Connection* conn);
-  void ScheduleRedial(common::ProcessId p);
-  void DialPeer(common::ProcessId p);
-  void OnDialReady(common::ProcessId p, int fd);
-  void BufferPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
-  // Durable restart: advertise recovered frontiers to every peer (once, when
-  // the engine starts) so they stream back what this node missed.
-  void SendCatchupRequests();
-  void HandleCatchupRequest(codec::Reader& r);
-  void HandleCatchupEntries(codec::Reader& r);
+  PeerLink& link(common::ProcessId p, uint32_t shard) {
+    return links_[p * shards_->partitions() + shard];
+  }
+  void ScheduleRedial(common::ProcessId p, uint32_t shard);
+  void DialPeer(common::ProcessId p, uint32_t shard);
+  void OnDialReady(common::ProcessId p, uint32_t shard, int fd);
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
   // Routes `in` until the shard's inbox takes it, draining worker outboxes
   // while it is full (never a blocking wait; bounded retries, then the input
-  // is dropped and counted).
-  void RouteWithRetry(uint32_t shard, ShardInput& in);
+  // is dropped and counted, and false returned).
+  bool RouteWithRetry(uint32_t shard, ShardInput& in);
   // Doorbell callback: drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
-  size_t DrainShardOutputs();
   void MarkDirty(Connection* conn);
   void FlushDirty();
-  // Sends a ClientReply frame on a specific connection (rejection path). With
-  // `flush` false the frame is queued and the connection marked dirty instead
-  // (drain path).
+  // Queues a ClientReply frame on the connection and marks it dirty.
   void SendReply(Connection* conn, uint64_t client, uint64_t seq, std::string&& value,
-                 bool dropped, bool flush = true);
+                 bool dropped);
 
   common::ProcessId self_;
   std::vector<PeerAddress> peers_;
@@ -145,43 +136,20 @@ class Node final : public ShardOutputSink {
 
   EventLoop loop_;
   int listen_fd_ = -1;
-  std::map<common::ProcessId, std::unique_ptr<Connection>> peer_conns_;
-  std::vector<std::unique_ptr<Connection>> anonymous_;  // pre-hello + client conns
+  std::vector<std::unique_ptr<Connection>> conns_;  // pre-hello + client conns
   // (client, seq) -> connection serving that client.
   std::unordered_map<chk::CmdKey, Connection*, chk::CmdKeyHash> waiting_clients_;
-  // Reconnect state: in-progress non-blocking dials (peer -> fd) and the
-  // per-peer re-dial backoff (reset on successful connect).
-  std::map<common::ProcessId, int> dialing_;
-  std::map<common::ProcessId, common::Duration> redial_backoff_;
+  // Dialed links by (peer * partitions + shard); only peers above self_.
+  std::vector<PeerLink> links_;
   bool reap_scheduled_ = false;
-  bool catchup_requested_ = false;
   // Durable client idempotency: commands submitted but not yet completed, and
   // each client's last completed (seq, result) for resubmit short-circuiting.
   std::unordered_set<chk::CmdKey, chk::CmdKeyHash> in_flight_;
   std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
-  // Client commands that arrived before the peer mesh completed; submitted the
-  // moment the engine starts (previously they were dropped and the client hung).
-  std::vector<smr::Command> pending_submits_;
-  // Peer frames (messages / catch-up) that arrived before this node's own mesh
-  // completed, replayed at engine start. Nodes start their engines at different
-  // moments — a faster peer's first proposal must not be dropped here: protocols
-  // whose commit needs every live replica's ack (Mencius) would wedge that slot
-  // forever. Bounded; overflow falls back to the old drop behaviour.
-  struct PendingPeerFrame {
-    common::ProcessId from;
-    std::vector<uint8_t> bytes;  // full frame, kind byte included
-  };
-  std::vector<PendingPeerFrame> pending_peer_frames_;
-  // Reused (clear-not-reallocate) encode scratch for all outbound frames; pre-sized
-  // per message via msg::EncodedSize so encoding never grows it mid-message.
-  codec::Writer encode_scratch_;
-  bool engine_started_ = false;
-
-  // Declaration order matters: workers ring out_bell_ and reference the
-  // deployment, so shards_ (declared last) is destroyed — and its workers
-  // joined — first.
-  Doorbell out_bell_;
   std::vector<Connection*> dirty_conns_;
+
+  // Declaration order matters: workers reference the deployment, so shards_
+  // (declared last) is destroyed — and its workers joined — first.
   std::unique_ptr<ShardRuntime> shards_;
 };
 

@@ -429,26 +429,21 @@ TEST(AllocTest, BatchEncodeReusesPerShardScratch) {
 }
 
 // Pins the threaded runtime's mailbox edges to the same recycled-slot
-// discipline as the simulator's event pool: moving decoded inputs through a
-// bounded SPSC ring (src/rt/mailbox.h) must not heap-allocate per message once
-// the ring's resident slots are warm. Items are ShardInput envelopes carrying
-// real msg::Message payloads — the exact type the I/O thread pushes — cycled
-// through the ring the way the routing/worker pair does (several in flight, so
-// distinct slots wrap).
+// discipline as the simulator's event pool: moving inputs through a bounded
+// SPSC ring (src/rt/mailbox.h) must not heap-allocate per item once the ring's
+// resident slots are warm. Items are ShardInput client submits — the item
+// that crosses the I/O-to-worker edge per command — cycled through the ring
+// the way the routing/worker pair does (several in flight, so distinct slots
+// wrap).
 TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
   rt::Mailbox<rt::ShardInput> box(8);
 
-  // Four in-flight envelopes, as a busy I/O thread would keep: each carries an
-  // MCommit with SSO-small key/value and inline deps.
+  // Four in-flight submits, as a busy I/O thread would keep: each carries a
+  // put with an SSO-small key/value.
   std::vector<rt::ShardInput> inflight(4);
   for (uint64_t i = 0; i < inflight.size(); i++) {
-    msg::MCommit m;
-    m.cmd = smr::MakePut(1, i + 1, "key42", "value");
-    m.dot = common::Dot{0, i + 1};
-    m.deps = common::DepSet{common::Dot{0, 1}};
-    inflight[i].kind = rt::ShardInput::Kind::kMessage;
-    inflight[i].from = 0;
-    inflight[i].m = msg::Message{std::move(m)};
+    inflight[i].kind = rt::ShardInput::Kind::kSubmit;
+    inflight[i].cmd = smr::MakePut(1, i + 1, "key42", "value");
   }
 
   auto cycle = [&box, &inflight]() {
@@ -470,11 +465,11 @@ TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
   }
   uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_LE(allocs, 8u) << "mailbox push/pop allocated " << allocs << " times for "
-                        << kCycles * inflight.size() << " message transits";
+                        << kCycles * inflight.size() << " submit transits";
 }
 
 // Mailbox storage grows only at a new occupancy high: a shard-sized inbox
-// (capacity kMailboxCapacity) that has once held 1000 envelopes serves any
+// (capacity kMailboxCapacity) that has once held 1000 submits serves any
 // later traffic at or below that depth from its recycled blocks. Each cycle
 // drains to zero and refills to 1000, so the items land at a different place
 // in the block cycle every time.
@@ -482,12 +477,8 @@ TEST(AllocTest, MailboxBelowPeakDepthIsAllocationFree) {
   rt::Mailbox<rt::ShardInput> box(rt::kMailboxCapacity);
   std::vector<rt::ShardInput> inflight(1000);
   for (uint64_t i = 0; i < inflight.size(); i++) {
-    msg::MCommit m;
-    m.cmd = smr::MakePut(1, i + 1, "key42", "value");
-    m.dot = common::Dot{0, i + 1};
-    m.deps = common::DepSet{common::Dot{0, 1}};
-    inflight[i].kind = rt::ShardInput::Kind::kMessage;
-    inflight[i].m = msg::Message{std::move(m)};
+    inflight[i].kind = rt::ShardInput::Kind::kSubmit;
+    inflight[i].cmd = smr::MakePut(1, i + 1, "key42", "value");
   }
   for (auto& in : inflight) {
     ASSERT_TRUE(box.TryPush(in));  // the one fill to the peak depth

@@ -48,6 +48,21 @@ constexpr uint64_t kClients = 4;
 // while a restarted low id dials out itself.
 constexpr uint32_t kDrillSeed = 2;
 
+// ThreadSanitizer slows a round trip past the recovery knobs below, so
+// recoveries would keep re-firing before one could finish; a TSan build
+// stretches the knobs 10x. The drill's gates are the same in every build.
+#if defined(__SANITIZE_THREAD__)
+constexpr int64_t kKnobScale = 10;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr int64_t kKnobScale = 10;
+#else
+constexpr int64_t kKnobScale = 1;
+#endif
+#else
+constexpr int64_t kKnobScale = 1;
+#endif
+
 struct TempDir {
   explicit TempDir(const std::string& tag) {
     path = (fs::temp_directory_path() /
@@ -80,10 +95,10 @@ smr::DeploymentOptions MakeOptions(smr::Protocol protocol,
   // slow path instead of stalling forever. Which survivors' default quorums
   // contain the victim depends on the victim's id, so some crash cycles pass
   // without this and others wedge.
-  d.commit_timeout = 300 * common::kMillisecond;
-  d.recovery_scan_interval = 100 * common::kMillisecond;
-  d.recovery_retry_interval = 200 * common::kMillisecond;
-  d.revoke_retry_interval = 100 * common::kMillisecond;
+  d.commit_timeout = kKnobScale * 300 * common::kMillisecond;
+  d.recovery_scan_interval = kKnobScale * 100 * common::kMillisecond;
+  d.recovery_retry_interval = kKnobScale * 200 * common::kMillisecond;
+  d.revoke_retry_interval = kKnobScale * 100 * common::kMillisecond;
   return d;
 }
 

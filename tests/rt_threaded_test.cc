@@ -1,5 +1,5 @@
 // Sharded replicas over real TCP: 3 nodes, P=4, one worker thread per shard
-// behind SPSC mailboxes, mixed kPut/kRmw.
+// owning its peer sockets, mixed kPut/kRmw.
 //
 // The same smr::Deployment assembly runs on the simulator and the TCP
 // runtime, so the I/O tier must be a pure transport change: the same fixed
@@ -15,6 +15,9 @@
 // input is dropped (never wedging the I/O thread), every other shard keeps
 // committing across all three nodes, and full-cluster shutdown still joins
 // cleanly (the 120s ctest timeout is the deadlock guard).
+//
+// The hop-ledger test pins the runtime's shape: peer traffic runs on the
+// workers' own sockets, so only client submits and replies cross a mailbox.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -374,6 +377,100 @@ TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
     EXPECT_TRUE(drain1) << "healthy phase failed to drain";
     EXPECT_EQ(phase2_ok, kPhaseOps);
     EXPECT_TRUE(drain2) << "post-crash phase failed to drain on all nodes";
+    return;
+  }
+  FAIL() << "could not bind a port block after 5 attempts";
+}
+
+// The hop ledger: protocol traffic stays on the workers' own sockets. One
+// client on node 0 of a 3-node P=1 Atlas cluster makes N blocking calls after
+// a warm-up that every node applied (so every worker holds its peers and no
+// socket handoff lands in the window). Across the calls, nodes 1 and 2 see no
+// mailbox item at all, and node 0 exactly one submit in and one reply out per
+// call.
+TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
+  constexpr uint64_t kWarmup = 5;
+  constexpr uint64_t kCalls = 50;
+  for (int attempt = 0; attempt < 5; attempt++) {
+    uint16_t base = static_cast<uint16_t>(46500 + attempt * 16 + (getpid() % 512));
+    std::vector<PeerAddress> addrs;
+    for (uint32_t i = 0; i < kNodes; i++) {
+      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
+    }
+    std::vector<std::unique_ptr<smr::Deployment>> replicas;
+    std::vector<std::unique_ptr<Node>> nodes;
+    bool bind_ok = true;
+    for (uint32_t i = 0; i < kNodes && bind_ok; i++) {
+      smr::DeploymentOptions d = MakeOptions(smr::Protocol::kAtlas, 0);
+      d.partitions = 1;
+      replicas.push_back(std::make_unique<smr::Deployment>(d));
+      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
+      bind_ok = nodes.back()->Listen();
+    }
+    if (!bind_ok) {
+      continue;
+    }
+    std::vector<std::thread> node_threads;
+    for (uint32_t i = 0; i < kNodes; i++) {
+      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
+    }
+    auto all_applied = [&nodes](uint64_t target) {
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (std::chrono::steady_clock::now() < deadline) {
+        bool ok = true;
+        for (auto& node : nodes) {
+          ok = ok && node->applied_ops() >= target;
+        }
+        if (ok) {
+          return true;
+        }
+        usleep(5 * 1000);
+      }
+      return false;
+    };
+
+    uint64_t ok_calls = 0;
+    bool warm = false;
+    bool drained = false;
+    std::vector<HopCounts> before(kNodes);
+    std::vector<HopCounts> after(kNodes);
+    {
+      Client client("127.0.0.1", addrs[0].port);
+      bool connected = false;
+      for (int i = 0; i < 200 && !connected; i++) {
+        connected = client.Connect() || (usleep(20 * 1000), false);
+      }
+      std::string result;
+      for (uint64_t i = 1; connected && i <= kWarmup; i++) {
+        client.Call(ScriptedOp(1, i), &result);
+      }
+      warm = connected && all_applied(kWarmup);
+      for (uint32_t i = 0; i < kNodes; i++) {
+        before[i] = nodes[i]->shard_runtime()->hops();
+      }
+      for (uint64_t i = kWarmup + 1; warm && i <= kWarmup + kCalls; i++) {
+        ok_calls += client.Call(ScriptedOp(1, i), &result) ? 1 : 0;
+      }
+      drained = warm && all_applied(kWarmup + kCalls);
+      for (uint32_t i = 0; i < kNodes; i++) {
+        after[i] = nodes[i]->shard_runtime()->hops();
+      }
+    }
+    for (auto& node : nodes) {
+      node->Stop();
+    }
+    for (auto& t : node_threads) {
+      t.join();
+    }
+    ASSERT_TRUE(warm) << "warm-up did not reach every node";
+    EXPECT_EQ(ok_calls, kCalls);
+    EXPECT_TRUE(drained);
+    EXPECT_EQ(after[0].inbox_items - before[0].inbox_items, kCalls);
+    EXPECT_EQ(after[0].outbox_items - before[0].outbox_items, kCalls);
+    for (uint32_t i = 1; i < kNodes; i++) {
+      EXPECT_EQ(after[i].inbox_items, before[i].inbox_items) << "node " << i;
+      EXPECT_EQ(after[i].outbox_items, before[i].outbox_items) << "node " << i;
+    }
     return;
   }
   FAIL() << "could not bind a port block after 5 attempts";

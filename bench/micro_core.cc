@@ -242,9 +242,9 @@ void BM_DecidedLogFind(benchmark::State& state) {
 BENCHMARK(BM_DecidedLogFind);
 
 // Per-shard set-up of the threaded runtime: a P=4 ShardRuntime (four workers'
-// inbox/outbox pairs, batch scratch) built and torn down over an unstarted
-// deployment. Workers are never spawned, so this is the construction cost a
-// node pays before it serves its first command.
+// inboxes and worker-to-worker edges, batch scratch) built and torn down over
+// an unstarted deployment. Workers are never spawned, so this is the
+// construction cost a node pays before it serves its first command.
 void BM_ShardRuntimeConstruct(benchmark::State& state) {
   smr::DeploymentOptions d;
   d.partitions = 4;
@@ -256,34 +256,33 @@ void BM_ShardRuntimeConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardRuntimeConstruct)->Unit(benchmark::kMicrosecond);
 
-// The mailbox hop: one ShardInput (a client submit, the item the I/O thread
-// routes per command) crosses an SPSC edge to a second thread and returns on
-// another.
+// The mailbox hop: one ForwardedSubmit (a client request, the item a home
+// worker forwards to the shard's owner) crosses an SPSC edge to a second
+// thread and returns on another.
 // One iteration is a round trip, i.e. two hops; items/s counts hops.
 void BM_MailboxHop(benchmark::State& state) {
-  rt::Mailbox<rt::ShardInput> to_worker(rt::kMailboxCapacity);
-  rt::Mailbox<rt::ShardInput> to_io(rt::kMailboxCapacity);
+  rt::Mailbox<rt::ForwardedSubmit> to_owner(rt::kMailboxCapacity);
+  rt::Mailbox<rt::ForwardedSubmit> to_home(rt::kMailboxCapacity);
   std::atomic<bool> stop{false};
-  std::thread worker([&]() {
-    rt::ShardInput in;
+  std::thread owner([&]() {
+    rt::ForwardedSubmit in;
     while (!stop.load(std::memory_order_relaxed)) {
-      if (to_worker.TryPop(in)) {
-        while (!to_io.TryPush(in)) {
+      if (to_owner.TryPop(in)) {
+        while (!to_home.TryPush(in)) {
         }
       }
     }
   });
-  rt::ShardInput item;
-  item.kind = rt::ShardInput::Kind::kSubmit;
+  rt::ForwardedSubmit item;
   item.cmd = smr::MakePut(1, 1, "key42", "value");
   for (auto _ : state) {
-    while (!to_worker.TryPush(item)) {
+    while (!to_owner.TryPush(item)) {
     }
-    while (!to_io.TryPop(item)) {
+    while (!to_home.TryPop(item)) {
     }
   }
   stop.store(true, std::memory_order_relaxed);
-  worker.join();
+  owner.join();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
 }
 BENCHMARK(BM_MailboxHop);

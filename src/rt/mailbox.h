@@ -3,22 +3,23 @@
 //
 // The threaded runtime (src/rt/shard_runtime.h) connects the node's I/O thread
 // and its shard workers with single-producer/single-consumer edges: one inbox
-// per (I/O thread -> shard worker) and one outbox per (shard worker -> I/O
-// thread), carrying client work and sockets, never peer traffic. Each edge is a
-// Mailbox<T>: a ring with an exact capacity bound whose slots live in
-// fixed-size blocks. Storage grows one block at a time, and only when
-// occupancy reaches a new high; blocks form a cycle and are recycled until
-// the mailbox dies. Pushing *moves* the item into a resident slot, so a
-// slot's string/vector capacity survives reuse: once a depth has been
-// reached, traffic at or below it performs no heap allocation (the same
-// recycled-slot discipline as the simulator's event pool; pinned by
-// alloc_test). An idle edge costs one block, not `capacity` slots.
+// per (I/O thread -> shard worker), carrying sockets, and at P>1 a pair per
+// (home worker, owning worker), carrying forwarded client submits one way and
+// their replies the other, never peer traffic. Each edge is a Mailbox<T>: a
+// ring with an exact capacity bound whose slots live in fixed-size blocks.
+// Storage grows one block at a time, and only when occupancy reaches a new
+// high; blocks form a cycle and are recycled until the mailbox dies. Pushing
+// *moves* the item into a resident slot, so a slot's string/vector capacity
+// survives reuse: once a depth has been reached, traffic at or below it
+// performs no heap allocation (the same recycled-slot discipline as the
+// simulator's event pool; pinned by alloc_test). An idle edge costs one
+// block, not `capacity` slots.
 //
-// Progress discipline (deadlock freedom with bounded rings):
-//   * the I/O thread never blocks on a full inbox — it drains worker outboxes
-//     (making progress for the worker) and retries, or drops;
-//   * a worker never blocks on a full outbox without ringing the I/O doorbell
-//     first — the I/O thread always drains outboxes before waiting.
+// Progress discipline (deadlock freedom with bounded rings): no producer
+// blocks or spins on a full ring. The I/O thread closes a socket its inbox
+// refuses; a home worker caps its outstanding forwards per owner at the
+// ring capacity, so neither edge of a worker pair can fill (see
+// shard_runtime.h).
 //
 // The Doorbell lets an idle consumer park in the kernel instead of spinning:
 // an eventfd guarded by an "armed" flag, so the producer pays a syscall only

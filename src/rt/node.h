@@ -7,19 +7,21 @@
 //   client hello:     [u8 = 2]
 //   catch-up request: [u8 = 3][varint seq_floor][bytes(frontier)]
 //   catch-up entries: [u8 = 4][(dot, cmd) ... to the end of the frame]
-// Peers form a full mesh with one connection per (peer, shard) pair: node i
-// dials every shard of every peer j > i, all at once and non-blocking; lower
+// Peers form a full mesh with one connection per (peer, shard) pair: node i's
+// worker for shard s dials shard s of every peer j > i, non-blocking; lower
 // ids accept. A peer connection carries one shard's traffic: its envelopes
 // bear that shard's tag, and its catch-up frames are that shard's.
 //
-// Who owns which socket: the node's I/O thread (the one in Run()) owns the
-// listen socket, every connection until its hello, client connections, and
-// dialing. A peer connection, once its hello is sent (dialer) or read
-// (acceptor), belongs to its shard's worker (src/rt/shard_runtime.h), which
-// reports its loss back so the dialing side redials with backoff (the
-// accepting side waits for a fresh hello). Client requests go through the
-// deployment's smr::Partitioner to their partition's worker, which returns
-// the reply once the command executes locally.
+// Who owns which socket: the node's I/O thread (the one in Run()) only
+// accepts connections, reads their hellos and hands each socket, with any
+// bytes read past the hello, to a shard worker (src/rt/shard_runtime.h): a
+// peer's to its shard's worker, a client's to its home worker. The workers
+// own the sockets from then on. Each worker dials its own shard's connections
+// to the higher-id peers and redials one it loses, with backoff; the
+// accepting side waits for a fresh hello. A client's home worker decodes its
+// requests, forwards those for other shards to their owning worker, and
+// writes every reply to the client itself. A client homed on a worker that
+// StopOne stopped sees its socket close, as it would see a crashed node.
 //
 // Durable restart: a node constructed over a non-empty data_dir recovers its
 // stores from disk (snapshot + log tail, see src/dur), and each worker
@@ -30,27 +32,18 @@
 #ifndef SRC_RT_NODE_H_
 #define SRC_RT_NODE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "src/chk/checker.h"
 #include "src/codec/codec.h"
-#include "src/rt/event_loop.h"
 #include "src/rt/shard_runtime.h"
 #include "src/smr/deployment.h"
 
 namespace rt {
 
-struct PeerAddress {
-  std::string host;
-  uint16_t port = 0;
-};
-
-class Node final : public ShardOutputSink {
+class Node final {
  public:
   // The deployment (one node's full replica assembly: engine, per-shard stores,
   // batching) is borrowed and must outlive the node.
@@ -60,10 +53,10 @@ class Node final : public ShardOutputSink {
 
   // Binds the listen socket; returns false on bind failure.
   bool Listen();
-  // Starts the shard workers, dials every shard of every higher-id peer and
-  // serves until Stop(), which ends it at any point (mesh complete or not).
-  // Each worker starts its engine once its shard's peer connections are all
-  // up. Blocks.
+  // Starts the shard workers (each dials its shard of every higher-id peer)
+  // and accepts until Stop(), which ends it at any point (mesh complete or
+  // not). Each worker starts its engine once its shard's peer connections
+  // are all up. Blocks.
   void Run();
   void Stop();
 
@@ -78,75 +71,19 @@ class Node final : public ShardOutputSink {
   // worker and assert clean node shutdown), drop monitoring and the hop ledger.
   ShardRuntime* shard_runtime() { return shards_.get(); }
 
-  // ShardOutputSink (I/O thread): replies are queued per connection and
-  // FlushDirty writes each touched socket once per drain pass; a lost peer
-  // connection this node dialed is redialed.
-  void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
-                     bool dropped) override;
-  void OnPeerLost(uint32_t shard, common::ProcessId peer) override;
-
  private:
-  // A dialed (peer, shard) connection: in progress, handed to its worker, or
-  // waiting out its redial backoff.
-  struct PeerLink {
-    int dial_fd = -1;
-    bool up = false;
-    common::Duration backoff = 0;  // next redial delay; 0 = the floor
-  };
-
   void AcceptReady();
-  void OnConnReady(Connection* conn, uint32_t events);
-  // Handles one frame of a connection the node owns; false once the
-  // connection was handed to a worker (the rest of its input goes along).
-  bool OnFrame(Connection* conn, const uint8_t* data, size_t size);
-  // A client's message frame: validates and routes its ClientRequest.
-  void OnClientMessage(Connection* conn, codec::Reader& r);
-  // Gives a peer socket and the input read past its hello to `shard`'s worker.
-  void HandOff(uint32_t shard, common::ProcessId peer, int fd,
-               std::vector<uint8_t>&& unread);
-  // Connection teardown: a closed socket schedules a reap on the loop (never
-  // destroyed mid-callback); the reap scrubs every raw pointer to the
-  // connection (waiting_clients_, dirty_conns_) before freeing it.
-  void NoteClosed();
-  void ReapConnections();
-  PeerLink& link(common::ProcessId p, uint32_t shard) {
-    return links_[p * shards_->partitions() + shard];
-  }
-  void ScheduleRedial(common::ProcessId p, uint32_t shard);
-  void DialPeer(common::ProcessId p, uint32_t shard);
-  void OnDialReady(common::ProcessId p, uint32_t shard, int fd);
-  // Completion bookkeeping for durable client idempotency (no-op otherwise).
-  void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
-                      bool dropped);
-  // Routes `in` until the shard's inbox takes it, draining worker outboxes
-  // while it is full (never a blocking wait; bounded retries, then the input
-  // is dropped and counted, and false returned).
-  bool RouteWithRetry(uint32_t shard, ShardInput& in);
-  // Doorbell callback: drain outboxes, flush dirty sockets.
-  void OnWorkerOutput();
-  void MarkDirty(Connection* conn);
-  void FlushDirty();
-  // Queues a ClientReply frame on the connection and marks it dirty.
-  void SendReply(Connection* conn, uint64_t client, uint64_t seq, std::string&& value,
-                 bool dropped);
+  // Reads an accepted connection until its hello, then hands it over.
+  void ServeHello(Connection* conn);
 
   common::ProcessId self_;
   std::vector<PeerAddress> peers_;
-  smr::Deployment* deployment_;
 
-  EventLoop loop_;
+  int epfd_ = -1;
+  int wake_fd_ = -1;  // Stop() writes it to end epoll_wait
+  std::atomic<bool> stop_{false};
   int listen_fd_ = -1;
-  std::vector<std::unique_ptr<Connection>> conns_;  // pre-hello + client conns
-  // (client, seq) -> connection serving that client.
-  std::unordered_map<chk::CmdKey, Connection*, chk::CmdKeyHash> waiting_clients_;
-  // Dialed links by (peer * partitions + shard); only peers above self_.
-  std::vector<PeerLink> links_;
-  bool reap_scheduled_ = false;
-  // Durable client idempotency: commands submitted but not yet completed, and
-  // each client's last completed (seq, result) for resubmit short-circuiting.
-  std::unordered_set<chk::CmdKey, chk::CmdKeyHash> in_flight_;
-  std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
-  std::vector<Connection*> dirty_conns_;
+  std::vector<std::unique_ptr<Connection>> conns_;  // accepted, before the hello
 
   // Declaration order matters: workers reference the deployment, so shards_
   // (declared last) is destroyed — and its workers joined — first.

@@ -1,11 +1,12 @@
 #include "src/rt/shard_runtime.h"
 
+#include <arpa/inet.h>
 #include <sys/epoll.h>
 #include <time.h>
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "src/chk/checker.h"
@@ -23,44 +24,60 @@ common::Time NowUs() {
   return static_cast<common::Time>(ts.tv_sec) * common::kSecond + ts.tv_nsec / 1000;
 }
 
-// epoll tag of the inbox doorbell; sockets are tagged with their peer id.
-constexpr uint32_t kBellTag = UINT32_MAX;
+// epoll tags: a peer's socket is tagged with the peer's id, the doorbell with
+// kBellTag, and the rest with a marker bit over an id.
+constexpr uint64_t kBellTag = UINT64_MAX;
+constexpr uint64_t kDialTag = 1ull << 62;    // | peer id: a dial in progress
+constexpr uint64_t kClientTag = 1ull << 63;  // | client connection id
+
+constexpr common::Duration kRedialFloor = 50 * common::kMillisecond;
+constexpr common::Duration kRedialCap = common::kSecond;
+
+// Items a worker takes from one mailbox per loop pass, so a flooded edge
+// cannot starve timers or sockets.
+constexpr int kBurst = 256;
 
 }  // namespace
 
 // One shard's worker: owns the shard engine, its timer heap, its submission
-// batcher, its peer connections and the mailbox pair tying it to the I/O
-// thread. It is also the engine's smr::Context — sends go straight into peer
-// connections, completions become outbox items, timers land in the
-// worker-local heap (engines only call the Context from within their own
+// batcher, its peer and client connections and the mailboxes into it. It is
+// also the engine's smr::Context — sends go straight into peer connections,
+// completions go to the client connections waiting on them, timers land in
+// the worker-local heap (engines only call the Context from within their own
 // callbacks, which all run on this thread).
 class ShardRuntime::Worker final : public smr::Context {
  public:
   Worker(ShardRuntime* owner, uint32_t shard)
       : inbox_(kMailboxCapacity),
-        outbox_(kMailboxCapacity),
         owner_(owner),
         shard_(shard),
+        durable_(owner_->deployment_->durable()),
         batcher_(1, owner_->deployment_->batch_window(),
                  owner_->deployment_->options().batch_max,
                  [this](uint32_t, smr::Command cmd) { engine().Submit(std::move(cmd)); }),
-        // Durable nodes cache every completion for client resubmits, so they
-        // report all of them; otherwise only the commands submitted here.
-        reply_all_(owner_->deployment_->durable()) {}
+        outstanding_(owner_->partitions_, 0) {
+    for (uint32_t s = 0; s < owner_->partitions_; s++) {
+      bool edge = s != shard_;
+      submits_in_.push_back(
+          edge ? std::make_unique<Mailbox<ForwardedSubmit>>(kMailboxCapacity) : nullptr);
+      replies_in_.push_back(
+          edge ? std::make_unique<Mailbox<ForwardedReply>>(kMailboxCapacity) : nullptr);
+    }
+  }
 
-  ~Worker() { CloseInbox(); }  // input that arrived after the thread ended
+  ~Worker() { CloseInbox(); }  // sockets that arrived after the thread ended
 
-  // The edges to the I/O thread; it pushes the inbox, rings the bell and
-  // pops the outbox.
+  // Sockets from the I/O thread.
   Mailbox<ShardInput> inbox_;
-  Mailbox<ShardOutput> outbox_;
-  Doorbell bell_;
+  // From the other workers, indexed by sender: requests their clients sent
+  // for this shard, and the answers to this worker's forwards.
+  std::vector<std::unique_ptr<Mailbox<ForwardedSubmit>>> submits_in_;
+  std::vector<std::unique_ptr<Mailbox<ForwardedReply>>> replies_in_;
+  Doorbell bell_;  // rung by every producer of those mailboxes
 
-  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
+  bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
-  void Spawn(common::ProcessId self, uint32_t n) {
-    self_id_ = self;
-    n_ = n;
+  void Spawn() {
     thread_ = std::thread([this]() { ThreadMain(); });
   }
 
@@ -73,11 +90,11 @@ class ShardRuntime::Worker final : public smr::Context {
     if (thread_.joinable()) {
       thread_.join();
     }
-    stopped_.store(true, std::memory_order_release);
   }
 
   // Hop ledger, written by this worker only.
-  std::atomic<uint64_t> outbox_items{0};
+  std::atomic<uint64_t> forwarded{0};
+  std::atomic<uint64_t> returned{0};
   std::atomic<uint64_t> bell_writes{0};
   std::atomic<uint64_t> parks{0};
 
@@ -96,7 +113,7 @@ class ShardRuntime::Worker final : public smr::Context {
   common::Time Now() const override { return NowUs(); }
 
   void SetTimer(common::Duration delay, uint64_t token) override {
-    PushTimer(Now() + delay, token, /*is_flush=*/false);
+    PushTimer(Now() + delay, token, TimerKind::kEngine);
   }
 
   // Applies the command to the shard's store inline, on this thread, in the
@@ -108,25 +125,27 @@ class ShardRuntime::Worker final : public smr::Context {
           if (!sub.is_noop()) {
             owner_->applied_ops_.fetch_add(1, std::memory_order_release);
           }
-          Reply(sub, std::move(result), /*dropped=*/false);
+          Complete(sub, std::move(result), /*dropped=*/false);
         });
   }
 
   void Dropped(const common::Dot& /*dot*/, const smr::Command& original) override {
     owner_->deployment_->ForEachDropped(original, [this](const smr::Command& sub) {
-      Reply(sub, std::string(), /*dropped=*/true);
+      Complete(sub, std::string(), /*dropped=*/true);
     });
   }
 
  private:
+  enum class TimerKind : uint8_t { kEngine, kFlush, kRedial };
+
   // Worker-local one-shot timer heap: a binary min-heap of (deadline, token).
-  // is_flush marks the batcher's window timer (token: its generation) vs
-  // engine timers.
+  // The token is the engine's, the batcher window's generation, or the peer
+  // to redial.
   struct TimerEntry {
     common::Time deadline;
     uint64_t seq;  // insertion tiebreak: equal deadlines fire in set order
     uint64_t token;
-    bool is_flush;
+    TimerKind kind;
     bool operator>(const TimerEntry& o) const {
       if (deadline != o.deadline) {
         return deadline > o.deadline;
@@ -135,108 +154,333 @@ class ShardRuntime::Worker final : public smr::Context {
     }
   };
 
-  smr::Engine& engine() { return owner_->deployment_->shard_engine(shard_); }
+  // Where a client command's answer goes: a home worker (this one for its
+  // own clients) and its id of the client connection.
+  struct Origin {
+    uint32_t home;
+    uint64_t conn;
+  };
 
-  void PushTimer(common::Time deadline, uint64_t token, bool is_flush) {
-    timers_.push_back(TimerEntry{deadline, timer_seq_++, token, is_flush});
+  smr::Engine& engine() { return owner_->deployment_->shard_engine(shard_); }
+  Worker& worker(uint32_t s) { return *owner_->workers_[s]; }
+
+  void PushTimer(common::Time deadline, uint64_t token, TimerKind kind) {
+    timers_.push_back(TimerEntry{deadline, timer_seq_++, token, kind});
     std::push_heap(timers_.begin(), timers_.end(), std::greater<TimerEntry>());
   }
 
-  void Reply(const smr::Command& sub, std::string&& value, bool dropped) {
-    if (sub.client == 0) {
-      return;  // internal command (noOp); no client waits on it
-    }
-    if (!reply_all_ && local_.erase(chk::CmdKey{sub.client, sub.seq}) == 0) {
-      return;  // submitted at another replica, which answers it
-    }
-    ShardOutput out;
-    out.kind = ShardOutput::Kind::kReply;
-    out.client = sub.client;
-    out.seq = sub.seq;
-    out.value = std::move(value);
-    out.dropped = dropped;
-    PushOutput(out);
-  }
-
-  // Never blocks indefinitely: the I/O thread always drains outboxes before
-  // sleeping, so ringing its doorbell and yielding is enough to guarantee the
-  // ring frees up. Output is dropped only during shutdown.
-  void PushOutput(ShardOutput& out) {
-    while (!outbox_.TryPush(out)) {
-      NotifyOutput();
-      if (stop_.load(std::memory_order_acquire)) {
-        return;
-      }
-      std::this_thread::yield();
-    }
-    Bump(outbox_items);
-    NotifyOutput();
-  }
-
-  void NotifyOutput() {
-    if (owner_->output_bell_.Ring()) {
+  void Wake(Worker& w) {
+    if (w.bell_.Ring()) {
       Bump(bell_writes);
     }
   }
 
-  void Submit(smr::Command&& cmd) {
-    if (!reply_all_) {
-      local_.insert(chk::CmdKey{cmd.client, cmd.seq});
+  // --- Client commands, owner side ------------------------------------------
+
+  // Takes a client command for this shard, homed at worker `home`.
+  void Accept(smr::Command&& cmd, uint32_t home, uint64_t conn) {
+    chk::CmdKey key{cmd.client, cmd.seq};
+    if (durable_) {
+      // Idempotent resubmission: a client that reconnected after its socket
+      // died re-sends its last command. If it already completed, answer from
+      // the cache instead of re-executing.
+      auto done = client_done_.find(cmd.client);
+      if (done != client_done_.end() && cmd.seq <= done->second.first) {
+        Answer(Origin{home, conn}, cmd.client, cmd.seq,
+               cmd.seq == done->second.first ? std::string(done->second.second)
+                                             : std::string(),
+               /*dropped=*/false);
+        return;
+      }
     }
-    if (uint64_t generation = batcher_.Add(0, std::move(cmd))) {
-      PushTimer(Now() + batcher_.window(), generation, /*is_flush=*/true);
+    // A durable node answers a resubmission of a running command along with
+    // the running command.
+    bool running = durable_ && origins_.count(key) > 0;
+    origins_.emplace(key, Origin{home, conn});
+    if (!running) {
+      Submit(std::move(cmd));
     }
   }
 
-  // Registers (or updates) the peer's socket: EPOLLOUT only while output is
-  // waiting in the connection.
-  void Watch(common::ProcessId peer, int op) {
-    Connection* c = peers_[peer].get();
-    c->watching_out = c->wants_write();
+  // A command of this shard completed: durable nodes cache it for client
+  // resubmits, and every connection waiting on it gets the answer (none if it
+  // was submitted at another replica).
+  void Complete(const smr::Command& sub, std::string&& value, bool dropped) {
+    if (sub.client == 0) {
+      return;  // internal command (noOp); no client waits on it
+    }
+    if (durable_ && !dropped) {  // a drop is not cached: the client may resubmit it
+      auto& done = client_done_[sub.client];
+      if (sub.seq >= done.first) {
+        done.first = sub.seq;
+        done.second = value;
+      }
+    }
+    auto range = origins_.equal_range(chk::CmdKey{sub.client, sub.seq});
+    for (auto it = range.first; it != range.second;) {
+      Origin o = it->second;
+      bool last = ++it == range.second;
+      Answer(o, sub.client, sub.seq, last ? std::move(value) : std::string(value),
+             dropped);
+    }
+    origins_.erase(range.first, range.second);
+  }
+
+  // Answers one accepted command: straight to the connection if its home is
+  // this worker, otherwise over the edge back to the home. That push cannot
+  // fail: the home has at most kMailboxCapacity forwards outstanding here,
+  // and each gets exactly one answer.
+  void Answer(const Origin& o, uint64_t client, uint64_t seq, std::string&& value,
+              bool dropped) {
+    msg::ClientReply& r = reply_out_.reply;
+    r.client = client;
+    r.seq = seq;
+    r.value = std::move(value);
+    r.dropped = dropped;
+    if (o.home == shard_) {
+      Deliver(o.conn, r);
+      return;
+    }
+    reply_out_.conn = o.conn;
+    Worker& home = worker(o.home);
+    CHECK(home.replies_in_[shard_]->TryPush(reply_out_));
+    Bump(returned);
+    Wake(home);
+  }
+
+  // --- Client connections, home side ------------------------------------------
+
+  // Writes a reply to client connection `conn`, unless it has closed since.
+  void Deliver(uint64_t conn, msg::ClientReply& r) {
+    auto it = clients_.find(conn);
+    if (it == clients_.end()) {
+      return;
+    }
+    Connection* c = it->second.get();
+    msg::Encode(c->BeginFrame(kFrameMessage), msg::Message{std::move(r)});
+    c->EndFrame();
+    MarkDirty(c);
+  }
+
+  // One frame from a client homed here; false stops reading (see Pause).
+  bool OnClientFrame(uint64_t conn, const uint8_t* data, size_t size) {
+    codec::Reader r(data, size);
+    if (r.U8() != kFrameMessage || !msg::Decode(r, msg_)) {
+      return true;
+    }
+    auto* req = msg::get_if<msg::ClientRequest>(&msg_);
+    if (req == nullptr) {
+      return true;
+    }
+    smr::Command& cmd = req->cmd;
+    // kBatch is an internal composite (client 0): one injected by an
+    // untrusted client would crash the cluster at the deployment's unpack
+    // CHECK once it replicated, so it is rejected at the door. Everything
+    // else must route through the deployment's Partitioner to one shard;
+    // unroutable input (at P>1, noOps and key sets spanning partitions) is
+    // rejected as dropped instead of CHECK-crashing the replica.
+    uint32_t shard = 0;
+    if (cmd.is_batch() ||
+        !owner_->deployment_->partitioner().SingleShard(cmd, &shard)) {
+      msg::ClientReply& rej = reply_out_.reply;
+      rej.client = cmd.client;
+      rej.seq = cmd.seq;
+      rej.value.clear();
+      rej.dropped = true;
+      Deliver(conn, rej);
+      return true;
+    }
+    if (shard == shard_) {
+      Accept(std::move(cmd), shard_, conn);
+      return true;
+    }
+    Worker& w = worker(shard);
+    if (w.stopping()) {
+      return true;  // a dead shard loses its input, as a crashed replica would
+    }
+    submit_out_.cmd = std::move(cmd);
+    submit_out_.conn = conn;
+    CHECK(w.submits_in_[shard_]->TryPush(submit_out_));  // bounded by the cap
+    Bump(forwarded);
+    Wake(w);
+    if (++outstanding_[shard] == kMailboxCapacity) {
+      Pause();
+    }
+    return !paused_;
+  }
+
+  void AdoptClient(int fd, std::vector<uint8_t>&& unread) {
+    uint64_t id = next_client_++;
+    auto& c = clients_[id];
+    c = std::make_unique<Connection>(fd, std::move(unread));
+    c->tag = kClientTag | id;
+    Watch(c.get(), EPOLL_CTL_ADD);
+    ServeClient(id);  // requests that came with the handoff, and any since
+  }
+
+  void ServeClient(uint64_t id) {
+    auto it = clients_.find(id);
+    if (paused_ || it == clients_.end()) {
+      return;
+    }
+    if (!it->second->ReadAll([this, id](const uint8_t* data, size_t size) {
+          return OnClientFrame(id, data, size);
+        })) {
+      CloseClient(id);
+    }
+  }
+
+  void CloseClient(uint64_t id) {
+    auto it = clients_.find(id);
+    epoll_ctl(epfd_, EPOLL_CTL_DEL, it->second->fd(), nullptr);
+    clients_.erase(it);
+  }
+
+  // An owner holds kMailboxCapacity of this worker's forwards: stop reading
+  // client sockets, so their requests wait in the connections and in TCP.
+  void Pause() {
+    paused_ = true;
+    for (auto& [id, c] : clients_) {
+      Watch(c.get(), EPOLL_CTL_MOD);
+    }
+  }
+
+  // Once per pass while paused: resume when every running owner is below
+  // the cap (a stopped owner never answers, so it cannot hold us), then
+  // serve what the clients sent meanwhile.
+  void MaybeResume() {
+    for (uint32_t s = 0; s < owner_->partitions_; s++) {
+      if (outstanding_[s] >= kMailboxCapacity && !worker(s).stopping()) {
+        return;
+      }
+    }
+    paused_ = false;
+    ids_.clear();
+    for (auto& [id, c] : clients_) {
+      Watch(c.get(), EPOLL_CTL_MOD);
+      ids_.push_back(id);
+    }
+    for (uint64_t id : ids_) {
+      ServeClient(id);
+    }
+  }
+
+  // Registers (or updates) a socket: EPOLLIN unless it is a client socket
+  // while paused, EPOLLOUT only while output waits in the connection.
+  void Watch(Connection* c, int op) {
+    uint32_t events = c->wants_write() ? EPOLLOUT : 0u;
+    if (!paused_ || (c->tag & kClientTag) == 0) {
+      events |= EPOLLIN;
+    }
+    if (op == EPOLL_CTL_MOD && events == c->events) {
+      return;
+    }
+    c->events = events;
     struct epoll_event ev = {};
-    ev.events = c->watching_out ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-    ev.data.u32 = peer;
+    ev.events = events;
+    ev.data.u64 = c->tag;
     CHECK_EQ(epoll_ctl(epfd_, op, c->fd(), &ev), 0);
   }
 
+  // --- Peer connections ------------------------------------------------------
+
   // `from` is a peer id the node validated (< n, not self).
-  void Adopt(common::ProcessId from, int fd, std::vector<uint8_t>&& unread) {
+  void AdoptPeer(common::ProcessId from, std::unique_ptr<Connection> c) {
     if (peers_[from] != nullptr) {
-      Drop(from, /*notify=*/false);  // the peer reconnected: the fresh socket wins
+      Drop(from);  // the peer reconnected: the fresh socket wins
     }
-    peers_[from] = std::make_unique<Connection>(fd, std::move(unread));
-    peers_[from]->peer = from;
-    if (started_) {
-      Watch(from, EPOLL_CTL_ADD);
-      Serve(from);
+    c->tag = from;
+    peers_[from] = std::move(c);
+    if (!started_) {
+      MaybeStart();
+    } else {
+      Watch(peers_[from].get(), EPOLL_CTL_ADD);
+      ServePeer(from);
     }
   }
 
-  // Closes the connection to `peer`; a notified loss lets the node redial.
-  void Drop(common::ProcessId peer, bool notify) {
+  // Closes the connection to `peer`. Mesh rule: this worker redials a higher
+  // id; a lower-id peer redials us when it notices the loss (or restarts).
+  void Drop(common::ProcessId peer) {
     if (started_) {
       epoll_ctl(epfd_, EPOLL_CTL_DEL, peers_[peer]->fd(), nullptr);
     }
     peers_[peer].reset();
-    if (notify) {
-      ShardOutput out;
-      out.kind = ShardOutput::Kind::kPeerLost;
-      out.peer = peer;
-      PushOutput(out);
+    if (peer > self_) {
+      ScheduleRedial(peer);
     }
+  }
+
+  void ScheduleRedial(common::ProcessId p) {
+    common::Duration delay = std::max(backoff_[p], kRedialFloor);
+    backoff_[p] = std::min<common::Duration>(delay * 2, kRedialCap);
+    PushTimer(Now() + delay, p, TimerKind::kRedial);
+  }
+
+  // Non-blocking connect to this shard of peer p, retried with backoff until
+  // the peer listens, so Stop() ends the worker even while a peer never
+  // comes up.
+  void Dial(common::ProcessId p) {
+    if (dial_fd_[p] >= 0 || peers_[p] != nullptr) {
+      return;
+    }
+    int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+    if (fd < 0) {
+      ScheduleRedial(p);
+      return;
+    }
+    const PeerAddress& to = owner_->peers_[p];
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(to.port);
+    inet_pton(AF_INET, to.host.c_str(), &addr.sin_addr);
+    int rc = connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
+    if (rc != 0 && errno != EINPROGRESS) {
+      close(fd);
+      ScheduleRedial(p);
+      return;
+    }
+    dial_fd_[p] = fd;
+    struct epoll_event ev = {};
+    ev.events = EPOLLOUT;
+    ev.data.u64 = kDialTag | p;
+    CHECK_EQ(epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev), 0);
+  }
+
+  void OnDialReady(common::ProcessId p) {
+    int fd = dial_fd_[p];
+    dial_fd_[p] = -1;
+    epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+    auto c = std::make_unique<Connection>(fd);
+    codec::Writer& hello = c->BeginFrame(kFramePeerHello);
+    hello.U32(self_);
+    hello.Varint(shard_);
+    c->EndFrame();
+    // The hello is the socket's first write, so the empty send buffer takes
+    // it whole; a short write counts as a failed dial.
+    int err = 0;
+    socklen_t err_len = sizeof(err);
+    if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0 ||
+        !c->Flush() || c->wants_write()) {
+      ScheduleRedial(p);  // c closes the socket
+      return;
+    }
+    backoff_[p] = 0;
+    AdoptPeer(p, std::move(c));
   }
 
   // Reads the peer's socket and hands each frame to the engine.
-  void Serve(common::ProcessId peer) {
+  void ServePeer(common::ProcessId peer) {
     if (!peers_[peer]->ReadAll([this, peer](const uint8_t* data, size_t size) {
-          OnFrame(peer, data, size);
+          OnPeerFrame(peer, data, size);
           return true;
         })) {
-      Drop(peer, /*notify=*/true);
+      Drop(peer);
     }
   }
 
-  void OnFrame(common::ProcessId from, const uint8_t* data, size_t size) {
+  void OnPeerFrame(common::ProcessId from, const uint8_t* data, size_t size) {
     codec::Reader r(data, size);
     uint8_t kind = r.U8();
     if (kind == kFrameMessage) {
@@ -299,45 +543,62 @@ class ShardRuntime::Worker final : public smr::Context {
     }
   }
 
+  // --- The loop ----------------------------------------------------------------
+
   void MarkDirty(Connection* c) {
     if (!c->dirty) {
       c->dirty = true;
-      dirty_.push_back(c->peer);
+      dirty_.push_back(c->tag);
     }
   }
 
   // One write per dirty connection per pass; what the socket does not take
   // waits in the connection, watched for EPOLLOUT.
   void FlushDirty() {
-    for (common::ProcessId p : dirty_) {
-      Connection* c = peers_[p].get();
+    for (uint64_t tag : dirty_) {
+      bool client = (tag & kClientTag) != 0;
+      Connection* c = nullptr;
+      if (!client) {
+        c = peers_[tag].get();
+      } else if (auto it = clients_.find(tag & ~kClientTag); it != clients_.end()) {
+        c = it->second.get();
+      }
       if (c == nullptr || !c->dirty) {
-        continue;  // dropped (or replaced) since it was marked
+        continue;  // closed (or replaced) since it was marked
       }
       c->dirty = false;
       if (!c->Flush()) {
-        Drop(p, /*notify=*/true);
-      } else if (started_ && c->wants_write() != c->watching_out) {
-        Watch(p, EPOLL_CTL_MOD);
+        if (client) {
+          CloseClient(tag & ~kClientTag);
+        } else {
+          Drop(static_cast<common::ProcessId>(tag));
+        }
+      } else if (client || started_) {
+        Watch(c, EPOLL_CTL_MOD);
       }
     }
     dirty_.clear();
   }
 
+  void Submit(smr::Command&& cmd) {
+    if (!started_) {
+      pending_submits_.push_back(std::move(cmd));
+    } else if (uint64_t generation = batcher_.Add(0, std::move(cmd))) {
+      PushTimer(Now() + batcher_.window(), generation, TimerKind::kFlush);
+    }
+  }
+
   // The engine starts once every peer of this shard is connected; from then
   // on the worker watches their sockets.
   void MaybeStart() {
-    if (started_) {
-      return;
-    }
     for (common::ProcessId p = 0; p < n_; p++) {
-      if (p != self_id_ && peers_[p] == nullptr) {
+      if (p != self_ && peers_[p] == nullptr) {
         return;
       }
     }
     started_ = true;
     smr::Engine& e = engine();
-    e.Bind(self_id_, n_, this);
+    e.Bind(self_, n_, this);
     e.OnStart();
     smr::Deployment* d = owner_->deployment_;
     if (d->HasRecoveredState()) {
@@ -348,7 +609,7 @@ class ShardRuntime::Worker final : public smr::Context {
     }
     const bool catchup = d->durable() && d->HasRecoveredState();
     for (common::ProcessId p = 0; p < n_; p++) {
-      if (p == self_id_) {
+      if (p == self_) {
         continue;
       }
       if (catchup) {
@@ -361,11 +622,11 @@ class ShardRuntime::Worker final : public smr::Context {
         peers_[p]->EndFrame();
         MarkDirty(peers_[p].get());
       }
-      Watch(p, EPOLL_CTL_ADD);
+      Watch(peers_[p].get(), EPOLL_CTL_ADD);
     }
     for (common::ProcessId p = 0; p < n_; p++) {
       if (peers_[p] != nullptr) {
-        Serve(p);  // frames that came with the handoff, and any since
+        ServePeer(p);  // frames that came with the handoff, and any since
       }
     }
     for (smr::Command& cmd : pending_submits_) {
@@ -374,23 +635,42 @@ class ShardRuntime::Worker final : public smr::Context {
     pending_submits_.clear();
   }
 
-  // Takes a bounded burst, so a flooded inbox cannot starve timers or
-  // sockets. Returns true when it stopped at the bound with input left.
-  bool DrainInbox() {
-    for (int i = 0; i < 256; i++) {
-      if (!inbox_.TryPop(in_)) {
-        return false;
-      }
+  // Takes a bounded burst from each mailbox. Returns true when one stopped
+  // at the bound (input may be left).
+  bool DrainMailboxes() {
+    int i = 0;
+    for (; i < kBurst && inbox_.TryPop(in_); i++) {
       if (in_.kind == ShardInput::Kind::kPeerConn) {
-        Adopt(in_.from, in_.fd, std::move(in_.unread));
-        MaybeStart();
-      } else if (started_) {
-        Submit(std::move(in_.cmd));
+        AdoptPeer(in_.from, std::make_unique<Connection>(in_.fd, std::move(in_.unread)));
       } else {
-        pending_submits_.push_back(std::move(in_.cmd));
+        AdoptClient(in_.fd, std::move(in_.unread));
       }
     }
-    return true;
+    bool more = i == kBurst;
+    for (uint32_t s = 0; s < owner_->partitions_; s++) {
+      if (s == shard_) {
+        continue;
+      }
+      for (i = 0; i < kBurst && replies_in_[s]->TryPop(reply_in_); i++) {
+        outstanding_[s]--;
+        Deliver(reply_in_.conn, reply_in_.reply);
+      }
+      more = more || i == kBurst;
+      for (i = 0; i < kBurst && submits_in_[s]->TryPop(submit_in_); i++) {
+        Accept(std::move(submit_in_.cmd), s, submit_in_.conn);
+      }
+      more = more || i == kBurst;
+    }
+    return more;
+  }
+
+  bool MailboxesEmpty() const {
+    for (uint32_t s = 0; s < owner_->partitions_; s++) {
+      if (s != shard_ && (!replies_in_[s]->Empty() || !submits_in_[s]->Empty())) {
+        return false;
+      }
+    }
+    return inbox_.Empty();
   }
 
   void FireTimers() {
@@ -399,8 +679,10 @@ class ShardRuntime::Worker final : public smr::Context {
       std::pop_heap(timers_.begin(), timers_.end(), std::greater<TimerEntry>());
       TimerEntry t = timers_.back();
       timers_.pop_back();
-      if (t.is_flush) {
+      if (t.kind == TimerKind::kFlush) {
         batcher_.Expire(t.token);
+      } else if (t.kind == TimerKind::kRedial) {
+        Dial(static_cast<common::ProcessId>(t.token));
       } else {
         engine().OnTimer(t.token);
       }
@@ -423,32 +705,73 @@ class ShardRuntime::Worker final : public smr::Context {
   void CloseInbox() {
     ShardInput in;
     while (inbox_.TryPop(in)) {
-      if (in.kind == ShardInput::Kind::kPeerConn) {
-        close(in.fd);
+      close(in.fd);
+    }
+  }
+
+  void OnEvent(uint64_t tag, uint32_t events) {
+    if (tag == kBellTag) {
+      bell_.Drain();
+    } else if (tag & kClientTag) {
+      uint64_t id = tag & ~kClientTag;
+      auto it = clients_.find(id);
+      if (it == clients_.end()) {
+        return;  // closed this pass
+      }
+      if (events & EPOLLOUT) {
+        MarkDirty(it->second.get());  // flushed at the top of the pass
+      }
+      if (paused_ && (events & (EPOLLHUP | EPOLLERR))) {
+        CloseClient(id);  // not read while paused, so close it here
+      } else if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        ServeClient(id);
+      }
+    } else if (tag & kDialTag) {
+      auto p = static_cast<common::ProcessId>(tag & ~kDialTag);
+      if (dial_fd_[p] >= 0) {
+        OnDialReady(p);
+      }
+    } else if (peers_[tag] != nullptr) {  // may have dropped this pass
+      if (events & EPOLLOUT) {
+        MarkDirty(peers_[tag].get());
+      }
+      if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        ServePeer(static_cast<common::ProcessId>(tag));
       }
     }
   }
 
   void ThreadMain() {
+    self_ = owner_->self_;
+    n_ = static_cast<uint32_t>(owner_->peers_.size());
     peers_.resize(n_);
+    dial_fd_.assign(n_, -1);
+    backoff_.assign(n_, 0);
     epfd_ = epoll_create1(EPOLL_CLOEXEC);
     CHECK_GE(epfd_, 0);
     struct epoll_event ev = {};
     ev.events = EPOLLIN;
-    ev.data.u32 = kBellTag;
+    ev.data.u64 = kBellTag;
     CHECK_EQ(epoll_ctl(epfd_, EPOLL_CTL_ADD, bell_.fd(), &ev), 0);
+    // Dial this shard of every higher-id peer at once.
+    for (common::ProcessId p = self_ + 1; p < n_; p++) {
+      Dial(p);
+    }
     MaybeStart();  // n = 1: no peers to wait for
     struct epoll_event events[64];
     while (!stop_.load(std::memory_order_acquire)) {
       FireTimers();
-      bool more = DrainInbox();
+      bool more = DrainMailboxes();
+      if (paused_) {
+        MaybeResume();
+      }
       FlushDirty();
       // Park only with nothing left to do. Arm-then-recheck closes the
       // missed-wakeup window (see Doorbell).
       int timeout = 0;
       if (!more) {
         bell_.Arm();
-        if (inbox_.Empty() && !stop_.load(std::memory_order_acquire)) {
+        if (MailboxesEmpty() && !stop_.load(std::memory_order_acquire)) {
           timeout = TimeoutMs();
         }
       }
@@ -460,48 +783,60 @@ class ShardRuntime::Worker final : public smr::Context {
         }
       }
       for (int i = 0; i < nfds; i++) {
-        uint32_t tag = events[i].data.u32;
-        if (tag == kBellTag) {
-          bell_.Drain();
-        } else if (peers_[tag] != nullptr) {  // may have dropped this pass
-          if (events[i].events & EPOLLOUT) {
-            MarkDirty(peers_[tag].get());  // flushed at the top of the pass
-          }
-          if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-            Serve(tag);
-          }
-        }
+        OnEvent(events[i].data.u64, events[i].events);
       }
     }
-    // Stopping (or StopOne): close every socket so peers see it and reap
-    // their side; nobody will redial a stopped shard.
+    // Stopping (or StopOne): close every socket so peers and clients see it
+    // and reap their side; nobody will redial a stopped shard.
     peers_.clear();
+    clients_.clear();
+    for (int fd : dial_fd_) {
+      if (fd >= 0) {
+        close(fd);
+      }
+    }
     close(epfd_);
     CloseInbox();
   }
 
   ShardRuntime* owner_;
-  uint32_t shard_;
-  common::ProcessId self_id_ = common::kInvalidProcess;
-  uint32_t n_ = 0;
+  const uint32_t shard_;
+  const bool durable_;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> stopped_{false};
 
   // Worker-local state (worker thread only).
+  common::ProcessId self_ = common::kInvalidProcess;
+  uint32_t n_ = 0;
   int epfd_ = -1;
   bool started_ = false;
   std::vector<std::unique_ptr<Connection>> peers_;  // by peer id; self: null
-  std::vector<common::ProcessId> dirty_;
+  std::vector<int> dial_fd_;                        // by peer id; -1: none
+  std::vector<common::Duration> backoff_;           // next redial delay, by peer
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> clients_;  // by id
+  uint64_t next_client_ = 0;
+  std::vector<uint64_t> dirty_;  // epoll tags of connections written this pass
   std::vector<smr::Command> pending_submits_;  // before the engine starts
   std::vector<TimerEntry> timers_;
   uint64_t timer_seq_ = 0;
   smr::Batcher batcher_;  // over this worker's one shard
-  const bool reply_all_;
-  std::unordered_set<chk::CmdKey, chk::CmdKeyHash> local_;  // submitted here
+  // Accepted commands of this shard by (client, seq), and where each answer
+  // goes; a durable node may hold several for one resubmitted command.
+  std::unordered_multimap<chk::CmdKey, Origin, chk::CmdKeyHash> origins_;
+  // Durable resubmit cache: each client's last completed (seq, result) here.
+  std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
+  // Forwards to each owner whose answer has not been taken yet; Pause()
+  // holds them at kMailboxCapacity.
+  std::vector<size_t> outstanding_;
+  bool paused_ = false;
+  std::vector<uint64_t> ids_;  // MaybeResume scratch
   std::vector<smr::Command> exec_scratch_;
   ShardInput in_;
+  ForwardedSubmit submit_in_;
+  ForwardedSubmit submit_out_;
+  ForwardedReply reply_in_;
+  ForwardedReply reply_out_;
   msg::Message msg_;  // decode target, reused frame to frame
 };
 
@@ -515,11 +850,14 @@ ShardRuntime::ShardRuntime(smr::Deployment* deployment)
 
 ShardRuntime::~ShardRuntime() { Stop(); }
 
-void ShardRuntime::Start(common::ProcessId self, uint32_t n) {
+void ShardRuntime::Start(common::ProcessId self, std::vector<PeerAddress> peers) {
   CHECK(!started_);
+  CHECK_LT(self, peers.size());
   started_ = true;
-  for (uint32_t s = 0; s < partitions_; s++) {
-    workers_[s]->Spawn(self, n);
+  self_ = self;
+  peers_ = std::move(peers);
+  for (auto& w : workers_) {
+    w->Spawn();
   }
 }
 
@@ -537,65 +875,68 @@ void ShardRuntime::Stop() {
 
 bool ShardRuntime::StopOne(uint32_t shard) {
   CHECK_LT(shard, partitions_);
-  if (!started_ || workers_[shard]->stopped()) {
+  Worker& w = *workers_[shard];
+  if (!started_ || w.stopping()) {
     return false;
   }
-  workers_[shard]->RequestStop();
-  workers_[shard]->Join();
+  w.RequestStop();
+  w.Join();
+  // A home paused on the stopped owner's forwards re-checks and resumes.
+  for (auto& other : workers_) {
+    other->bell_.Ring();
+  }
   return true;
 }
 
-bool ShardRuntime::Route(uint32_t shard, ShardInput& in) {
-  CHECK_LT(shard, partitions_);
+void ShardRuntime::Route(uint32_t shard, ShardInput& in) {
   Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    // Dead shard: input is lost, like a crashed replica's would be.
-    if (in.kind == ShardInput::Kind::kPeerConn) {
-      close(in.fd);
-    }
-    return true;
+  if (w.stopping()) {
+    close(in.fd);  // dead shard: the socket is lost, like a crashed replica's
+    return;
   }
   if (!w.inbox_.TryPush(in)) {
-    return false;
+    close(in.fd);
+    Bump(inputs_dropped_);
+    return;
   }
   Bump(inbox_items_);
   if (w.bell_.Ring()) {
-    Bump(worker_bell_writes_);
+    Bump(io_bell_writes_);
   }
-  return true;
 }
 
-size_t ShardRuntime::DrainOutputs(ShardOutputSink& sink) {
-  size_t drained = 0;
-  ShardOutput out;
-  for (uint32_t s = 0; s < partitions_; s++) {
-    while (workers_[s]->outbox_.TryPop(out)) {
-      drained++;
-      if (out.kind == ShardOutput::Kind::kReply) {
-        sink.OnClientReply(out.client, out.seq, std::move(out.value), out.dropped);
-      } else if (out.kind == ShardOutput::Kind::kPeerLost) {
-        sink.OnPeerLost(s, out.peer);
-      }
-    }
-  }
-  return drained;
+void ShardRuntime::AdoptPeer(uint32_t shard, common::ProcessId peer, int fd,
+                             std::vector<uint8_t>&& unread) {
+  CHECK_LT(shard, partitions_);
+  ShardInput in;
+  in.kind = ShardInput::Kind::kPeerConn;
+  in.from = peer;
+  in.fd = fd;
+  in.unread = std::move(unread);
+  Route(shard, in);
 }
 
-bool ShardRuntime::HasOutput() const {
-  for (const auto& w : workers_) {
-    if (!w->outbox_.Empty()) {
-      return true;
-    }
+void ShardRuntime::AdoptClient(int fd, std::vector<uint8_t>&& unread) {
+  ShardInput in;
+  in.kind = ShardInput::Kind::kClientConn;
+  in.fd = fd;
+  in.unread = std::move(unread);
+  // Round-robin over the running workers; with none left, Route closes it.
+  uint32_t home = next_home_ % partitions_;
+  for (uint32_t i = 0; i < partitions_ && workers_[home]->stopping(); i++) {
+    home = (home + 1) % partitions_;
   }
-  return false;
+  next_home_ = home + 1;
+  Route(home, in);
 }
 
 HopCounts ShardRuntime::hops() const {
   HopCounts h;
   h.inbox_items = inbox_items_.load(std::memory_order_relaxed);
-  h.bell_writes = worker_bell_writes_.load(std::memory_order_relaxed);
+  h.bell_writes = io_bell_writes_.load(std::memory_order_relaxed);
   for (const auto& w : workers_) {
-    h.outbox_items += w->outbox_items.load(std::memory_order_relaxed);
+    h.forwarded += w->forwarded.load(std::memory_order_relaxed);
+    h.returned += w->returned.load(std::memory_order_relaxed);
     h.bell_writes += w->bell_writes.load(std::memory_order_relaxed);
     h.parks += w->parks.load(std::memory_order_relaxed);
   }

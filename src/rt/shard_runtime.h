@@ -3,27 +3,56 @@
 // A replica runs one worker thread per shard (P=1 runs one worker), the
 // split that parallel SMR designs (Marandi et al.'s P-SMR, Whittaker et al.'s
 // compartmentalization) arrive at. A worker owns its shard's protocol engine,
-// store slice, submission batching, timer heap and peer sockets (one TCP
-// connection per (peer, shard) pair), and runs to completion over them: peer
-// frames decode straight into the engine, smr::Context::Send encodes straight
-// into the target connection's write buffer, each dirty connection is
-// flushed once per loop pass, and a pass ends in one epoll_wait over the
-// inbox doorbell and the sockets, timed by the worker's timer heap. Protocol
-// traffic never leaves the shard's thread, so no mailbox can drop it: a slow
-// peer fills TCP buffers, and output its socket will not take waits in the
-// connection for EPOLLOUT.
+// store slice, submission batching, timer heap, peer sockets (one TCP
+// connection per (peer, shard) pair) and the client connections homed on it,
+// and runs to completion over them: peer frames decode straight into the
+// engine, smr::Context::Send encodes straight into the target connection's
+// write buffer, client requests decode on the worker and replies encode
+// straight into the client's write buffer, each dirty connection is flushed
+// once per loop pass, and a pass ends in one epoll_wait over the worker's
+// doorbell and its sockets, timed by its timer heap. Protocol traffic never
+// leaves the shard's thread, so no mailbox can drop it: a slow peer fills TCP
+// buffers, and output its socket will not take waits in the connection for
+// EPOLLOUT.
 //
-// The bounded SPSC mailboxes to rt::Node's I/O thread (src/rt/mailbox.h) carry
-// only what is not per shard. The inbox brings client submits and
-// established peer sockets (with any bytes read past the hello); the outbox
-// returns client replies and lost-peer notices. Per command that is two
-// crossings, both at the node that took the request.
+// Sockets: the worker dials its own shard's connection to every higher-id
+// peer and redials a lost one with backoff (50 ms doubling to 1 s) from its
+// timer heap; the node's I/O thread only accepts, reads hellos and hands the
+// socket over (with any bytes read past the hello) through the worker's
+// inbox, a bounded SPSC mailbox (src/rt/mailbox.h). A client socket goes to a
+// home worker: the only one at P=1, round-robin over the running workers at
+// P>1. A stopped worker (StopOne) closes every socket it holds, so a client
+// homed on it sees its connection close, as it would see a crashed node.
+//
+// Client requests: the home worker rejects unroutable commands (kBatch, key
+// sets spanning partitions) with a dropped reply, submits a command for its
+// own shard to its engine, and forwards any other over the worker-to-worker
+// SPSC edge to the shard's owner, which returns the completion over the
+// reverse edge; the home writes every reply to the client itself. At P=1 no
+// client request crosses a thread. The owner keeps the reply routing (which
+// home and connection wait for a (client, seq)) and, on durable nodes, the
+// resubmit cache: each client's last completed (seq, result) on the shard,
+// updated by every completion the shard executes, so a client that
+// reconnects (possibly to another home, or another node) and resubmits gets
+// the cached result, or joins the still-running command, instead of a
+// re-execution.
+//
+// Deadlock freedom: no worker spins or blocks on a mailbox, and no worker
+// keeps an unbounded side queue. A home worker keeps at most
+// kMailboxCapacity forwards outstanding (forwarded, reply not yet taken) per
+// owner, and the owner answers each forward exactly once. Each edge of the
+// pair therefore holds at most that many items, so neither push can fail.
+// A home that reaches the cap for a running owner stops reading its client
+// sockets (requests wait in the connections' buffers and then in TCP) until
+// replies bring it back under the cap. A forward for a stopped owner is
+// dropped, as a crashed replica would drop it.
 //
 // A worker starts its engine once it holds all n-1 peers of its shard and
-// only then watches their sockets, so earlier frames wait in the kernel. A
-// restarted durable worker then sends its shard's executed-dot frontier to
-// each peer, whose worker streams back the records it lacks; they apply
-// through the normal executed path.
+// only then watches their sockets, so earlier frames wait in the kernel;
+// client submits that arrive earlier wait in the worker. A restarted durable
+// worker then sends its shard's executed-dot frontier to each peer, whose
+// worker streams back the records it lacks; they apply through the normal
+// executed path.
 //
 // The simulator path is untouched: the engines driven here are the same
 // sans-I/O objects the simulator drives single-threadedly (the determinism
@@ -50,6 +79,7 @@
 #include "src/codec/codec.h"
 #include "src/common/check.h"
 #include "src/common/types.h"
+#include "src/msg/message.h"
 #include "src/rt/mailbox.h"
 #include "src/smr/command.h"
 #include "src/smr/deployment.h"
@@ -65,8 +95,8 @@ inline constexpr uint8_t kFrameCatchupReq = 3;
 inline constexpr uint8_t kFrameCatchupEntries = 4;
 
 // Framed, buffered, non-blocking TCP socket, shared by both socket owners:
-// the node's I/O thread (hellos, client connections) and the shard workers
-// (peer connections). One thread owns it at a time; the owner watches fd() in
+// the node's I/O thread (until the hello) and the shard workers (peer and
+// client connections). One thread owns it at a time; the owner watches fd() in
 // its own epoll set and calls ReadAll/Flush when it is ready.
 class Connection {
  public:
@@ -194,10 +224,9 @@ class Connection {
     return fd;
   }
 
-  common::ProcessId peer = common::kInvalidProcess;  // owner's tag
-  bool is_client = false;
+  uint64_t tag = 0;    // the owner's epoll tag for this connection
   bool dirty = false;  // queued frames awaiting the owner's pass-end flush
-  bool watching_out = false;  // the owner's epoll set asks for EPOLLOUT
+  uint32_t events = 0;  // what the owner's epoll set watches
 
  private:
   static constexpr size_t kReadChunk = 16 * 1024;
@@ -214,56 +243,49 @@ class Connection {
   bool closed_ = false;
 };
 
-// One item on an (I/O -> shard) inbox edge. Slots are resident in the
-// mailbox's blocks; pushing moves the command in, so slot string capacity is
-// recycled across submits (no per-item heap allocation once a depth has been
-// reached).
+struct PeerAddress {
+  std::string host;
+  uint16_t port = 0;
+};
+
+// One item on an (I/O thread -> worker) inbox: a socket past its hello,
+// which the worker owns from then on.
 struct ShardInput {
-  enum class Kind : uint8_t {
-    kNone,
-    kSubmit,
-    kPeerConn,  // an established socket to peer `from`; the worker owns it
-  };
+  enum class Kind : uint8_t { kNone, kPeerConn, kClientConn };
   Kind kind = Kind::kNone;
-  smr::Command cmd;              // kSubmit
-  common::ProcessId from = 0;    // kPeerConn
-  int fd = -1;                   // kPeerConn
-  std::vector<uint8_t> unread;   // kPeerConn: bytes read past the hello
+  common::ProcessId from = 0;   // kPeerConn: the peer's id
+  int fd = -1;
+  std::vector<uint8_t> unread;  // bytes read past the hello
 };
 
-// One item on a (shard -> I/O) outbox edge.
-struct ShardOutput {
-  enum class Kind : uint8_t { kNone, kReply, kPeerLost };
-  Kind kind = Kind::kNone;
-  common::ProcessId peer = 0;  // kPeerLost: whose connection closed
-  uint64_t client = 0;         // kReply: completed client command
-  uint64_t seq = 0;
-  std::string value;
-  bool dropped = false;
+// A client request on a (home -> owner) worker edge. Slots are resident in
+// the mailbox's blocks; pushing moves the command in, so slot string
+// capacity is recycled across forwards (no per-item heap allocation once a
+// depth has been reached).
+struct ForwardedSubmit {
+  smr::Command cmd;
+  uint64_t conn = 0;  // the home's id of the client connection
 };
 
-// Consumes drained worker output on the I/O thread.
-class ShardOutputSink {
- public:
-  virtual ~ShardOutputSink() = default;
-  virtual void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
-                             bool dropped) = 0;
-  // Shard `shard`'s connection to `peer` closed.
-  virtual void OnPeerLost(uint32_t shard, common::ProcessId peer) = 0;
+// The owner's answer to one ForwardedSubmit, on the (owner -> home) edge.
+struct ForwardedReply {
+  msg::ClientReply reply;
+  uint64_t conn = 0;
 };
 
-// Items each inbox and outbox edge holds before it pushes back. The bound
-// only decides when backpressure and drops start: mailbox storage grows with
+// Items each mailbox edge holds before it pushes back, which is also a home
+// worker's cap on outstanding forwards per owner. Mailbox storage grows with
 // occupancy, so an edge that never gets deep never pays for these slots.
 inline constexpr size_t kMailboxCapacity = 8192;
 
-// The hop ledger: what crossed between the I/O thread and the workers, summed
-// over all shards since construction.
+// The hop ledger: what crossed a mailbox, summed over all workers since
+// construction.
 struct HopCounts {
-  uint64_t inbox_items = 0;   // submits and socket handoffs
-  uint64_t outbox_items = 0;  // replies and lost-peer notices
-  uint64_t bell_writes = 0;   // doorbell eventfd writes, both directions
-  uint64_t parks = 0;         // worker epoll_waits that could sleep
+  uint64_t inbox_items = 0;  // socket handoffs from the I/O thread
+  uint64_t forwarded = 0;    // client requests sent to their shard's owner
+  uint64_t returned = 0;     // forwarded requests' replies sent back home
+  uint64_t bell_writes = 0;  // doorbell eventfd writes
+  uint64_t parks = 0;        // worker epoll_waits that could sleep
 };
 
 class ShardRuntime {
@@ -274,45 +296,36 @@ class ShardRuntime {
   explicit ShardRuntime(smr::Deployment* deployment);
   ~ShardRuntime();
 
-  // Rung by workers after every output they push; the I/O thread watches its
-  // fd and drains outboxes when it fires.
-  Doorbell& output_bell() { return output_bell_; }
-
-  // Spawns one worker per shard. Each waits for its n-1 peer connections,
-  // then binds and starts its engine on its own thread and serves until
-  // Stop().
-  void Start(common::ProcessId self, uint32_t n);
+  // Spawns one worker per shard. Each dials its shard's connection to every
+  // higher-id peer, waits for its n-1 peer connections, then binds and starts
+  // its engine on its own thread and serves until Stop().
+  void Start(common::ProcessId self, std::vector<PeerAddress> peers);
   // Signals every worker and joins them. Idempotent; safe if never started.
   void Stop();
   // Joins a single shard's worker (fault drill: a dead shard thread must not
   // deadlock the node). It closes its connections on the way out, so peers
-  // see them close; later input for it is dropped. Returns false if already
-  // stopped.
+  // and its clients see them close; later sockets for it are closed. Returns
+  // false if already stopped.
   bool StopOne(uint32_t shard);
 
-  // The I/O thread's one entry point: moves `in` into the shard's inbox and
-  // wakes its worker. On a full inbox it leaves `in` untouched and returns
-  // false — the caller drains outboxes (freeing worker progress) and retries
-  // the same item or drops it. A stopped shard swallows its input (closing a
-  // handed-over socket), as a crashed replica would. `shard` must be
-  // < partitions().
-  bool Route(uint32_t shard, ShardInput& in);
-
-  // Drains every outbox into the sink (I/O thread only). Returns items drained.
-  size_t DrainOutputs(ShardOutputSink& sink);
-  // True if any outbox holds output (I/O-thread recheck after re-arming).
-  bool HasOutput() const;
+  // The I/O thread's entry points: hand an accepted socket past its hello
+  // (and the bytes read past it) to shard `shard`'s worker, or a client
+  // socket to its home worker. Never blocks: a stopped worker's socket is
+  // closed, as a crashed replica's would be, and one that meets a full inbox
+  // is closed and counted in inputs_dropped().
+  void AdoptPeer(uint32_t shard, common::ProcessId peer, int fd,
+                 std::vector<uint8_t>&& unread);
+  void AdoptClient(int fd, std::vector<uint8_t>&& unread);
 
   uint32_t partitions() const { return partitions_; }
   // Client commands applied across all shards (atomic; readable any time).
   uint64_t applied_ops() const {
     return applied_ops_.load(std::memory_order_acquire);
   }
-  // Inputs dropped on full/stopped shard inboxes (monitoring; atomic).
+  // Sockets dropped on full shard inboxes (monitoring; atomic).
   uint64_t inputs_dropped() const {
     return inputs_dropped_.load(std::memory_order_relaxed);
   }
-  void CountDroppedInput() { Bump(inputs_dropped_); }
   // The hop ledger; any thread, any time (relaxed reads of live counters).
   HopCounts hops() const;
 
@@ -324,15 +337,19 @@ class ShardRuntime {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
+  void Route(uint32_t shard, ShardInput& in);
+
   smr::Deployment* deployment_;
   uint32_t partitions_;
-  Doorbell output_bell_;
+  common::ProcessId self_ = common::kInvalidProcess;
+  std::vector<PeerAddress> peers_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> applied_ops_{0};
   // Written by the I/O thread only.
   std::atomic<uint64_t> inputs_dropped_{0};
   std::atomic<uint64_t> inbox_items_{0};
-  std::atomic<uint64_t> worker_bell_writes_{0};
+  std::atomic<uint64_t> io_bell_writes_{0};
+  uint32_t next_home_ = 0;  // round-robin cursor for client homes
   bool started_ = false;
 };
 

@@ -431,18 +431,17 @@ TEST(AllocTest, BatchEncodeReusesPerShardScratch) {
 // Pins the threaded runtime's mailbox edges to the same recycled-slot
 // discipline as the simulator's event pool: moving inputs through a bounded
 // SPSC ring (src/rt/mailbox.h) must not heap-allocate per item once the ring's
-// resident slots are warm. Items are ShardInput client submits — the item
-// that crosses the I/O-to-worker edge per command — cycled through the ring
-// the way the routing/worker pair does (several in flight, so distinct slots
-// wrap).
+// resident slots are warm. Items are ForwardedSubmits — the item that crosses
+// the home-to-owner worker edge per forwarded client request — cycled through
+// the ring the way a home/owner pair does (several in flight, so distinct
+// slots wrap).
 TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
-  rt::Mailbox<rt::ShardInput> box(8);
+  rt::Mailbox<rt::ForwardedSubmit> box(8);
 
-  // Four in-flight submits, as a busy I/O thread would keep: each carries a
+  // Four in-flight forwards, as a busy home worker would keep: each carries a
   // put with an SSO-small key/value.
-  std::vector<rt::ShardInput> inflight(4);
+  std::vector<rt::ForwardedSubmit> inflight(4);
   for (uint64_t i = 0; i < inflight.size(); i++) {
-    inflight[i].kind = rt::ShardInput::Kind::kSubmit;
     inflight[i].cmd = smr::MakePut(1, i + 1, "key42", "value");
   }
 
@@ -468,16 +467,15 @@ TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
                         << kCycles * inflight.size() << " submit transits";
 }
 
-// Mailbox storage grows only at a new occupancy high: a shard-sized inbox
-// (capacity kMailboxCapacity) that has once held 1000 submits serves any
+// Mailbox storage grows only at a new occupancy high: a worker edge
+// (capacity kMailboxCapacity) that has once held 1000 forwards serves any
 // later traffic at or below that depth from its recycled blocks. Each cycle
 // drains to zero and refills to 1000, so the items land at a different place
 // in the block cycle every time.
 TEST(AllocTest, MailboxBelowPeakDepthIsAllocationFree) {
-  rt::Mailbox<rt::ShardInput> box(rt::kMailboxCapacity);
-  std::vector<rt::ShardInput> inflight(1000);
+  rt::Mailbox<rt::ForwardedSubmit> box(rt::kMailboxCapacity);
+  std::vector<rt::ForwardedSubmit> inflight(1000);
   for (uint64_t i = 0; i < inflight.size(); i++) {
-    inflight[i].kind = rt::ShardInput::Kind::kSubmit;
     inflight[i].cmd = smr::MakePut(1, i + 1, "key42", "value");
   }
   for (auto& in : inflight) {

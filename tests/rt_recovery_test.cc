@@ -15,8 +15,9 @@
 //
 // The client drill exercises the other half of the reconnect story: a client
 // with bounded retries survives its serving node dying mid-stream (reconnect,
-// resubmit, durable-node idempotency), and a client whose server never comes
-// back gives up with gave_up() accounting instead of hanging.
+// resubmit, durable-node idempotency), a resubmission to a live durable node
+// is answered from its cache, and a client whose server never comes back
+// gives up with gave_up() accounting instead of hanging.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -201,20 +202,34 @@ class DrillCluster {
  public:
   // Node ports sit below Linux's ephemeral range (32768 and up), so no
   // connection the test or its nodes open can hold a node's port when that
-  // node binds it — a restarted victim must re-bind its old port.
+  // node binds it — a restarted victim must re-bind its old port. Another
+  // process (a concurrent run of this binary) may hold the first block, so
+  // a start that cannot bind retries on a shifted block.
   DrillCluster(smr::Protocol protocol, const std::string& data_dir,
                uint16_t port_base)
       : protocol_(protocol), data_dir_(data_dir) {
-    uint16_t base =
-        static_cast<uint16_t>(port_base + (getpid() % 512));
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs_.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
     replicas_.resize(kNodes);
     nodes_.resize(kNodes);
     threads_.resize(kNodes);
-    for (uint32_t i = 0; i < kNodes; i++) {
-      ok_ = ok_ && StartNode(i, /*expect_recovery=*/false);
+    for (int attempt = 0; attempt < 5 && !ok_; attempt++) {
+      uint16_t base =
+          static_cast<uint16_t>(port_base + attempt * 16 + (getpid() % 512));
+      addrs_.clear();
+      for (uint32_t i = 0; i < kNodes; i++) {
+        addrs_.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
+      }
+      ok_ = true;
+      for (uint32_t i = 0; i < kNodes && ok_; i++) {
+        ok_ = StartNode(i, /*expect_recovery=*/false);
+      }
+      if (!ok_) {
+        StopAll();
+        for (uint32_t i = 0; i < kNodes; i++) {
+          nodes_[i].reset();
+          replicas_[i].reset();
+          fs::remove_all(data_dir_ + "/site-" + std::to_string(i));
+        }
+      }
     }
   }
 
@@ -222,7 +237,10 @@ class DrillCluster {
 
   bool ok() const { return ok_; }
   uint16_t port(uint32_t n) const { return addrs_[n].port; }
+  uint64_t applied_ops(uint32_t n) const { return nodes_[n]->applied_ops(); }
 
+  // Starts node i on its port. A first start binds once (the constructor
+  // moves to another block on failure); a restart waits for its old port.
   bool StartNode(uint32_t i, bool expect_recovery) {
     replicas_[i] = std::make_unique<smr::Deployment>(
         MakeOptions(protocol_, data_dir_, i));
@@ -232,15 +250,18 @@ class DrillCluster {
     }
     nodes_[i] = std::make_unique<Node>(i, addrs_, replicas_[i].get());
     // The freed listen port can lag a moment behind the old node's teardown.
+    const int tries = expect_recovery ? 50 : 1;
     bool listening = false;
-    for (int attempt = 0; attempt < 50 && !listening; attempt++) {
+    for (int attempt = 0; attempt < tries && !listening; attempt++) {
       listening = nodes_[i]->Listen();
-      if (!listening) {
+      if (!listening && attempt + 1 < tries) {
         usleep(20 * 1000);
       }
     }
     if (!listening) {
-      ADD_FAILURE() << "node " << i << " could not bind port " << addrs_[i].port;
+      if (expect_recovery) {
+        ADD_FAILURE() << "node " << i << " could not bind port " << addrs_[i].port;
+      }
       return false;
     }
     threads_[i] = std::thread([this, i]() { nodes_[i]->Run(); });
@@ -375,7 +396,7 @@ class DrillCluster {
   std::vector<std::unique_ptr<smr::Deployment>> replicas_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::thread> threads_;
-  bool ok_ = true;
+  bool ok_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -537,6 +558,59 @@ TEST(RtRecoveryTest, ClientReconnectsAndResubmitsAcrossNodeRestart) {
           << "node " << p << " diverged on shard " << s;
     }
   }
+}
+
+// The durable resubmit cache on a live node, without a restart (a restart
+// empties it). A client completes (c, 3) on one connection and resubmits on
+// a second one: (c, 3) gets the cached result and the older (c, 2) an empty
+// reply, and neither executes again on any node. All three commands touch
+// one key, so one shard owns them. Node 0 serves no other client, so its
+// two connections are homed on different shard workers (round-robin), and
+// the resubmissions reach the owner from another home than the original.
+TEST(RtRecoveryTest, DurableNodeAnswersResubmitsFromItsCache) {
+  TempDir dir("dedup");
+  DrillCluster cluster(smr::Protocol::kAtlas, dir.path, 27500);
+  ASSERT_TRUE(cluster.ok());
+  auto connect = [](Client& c) {
+    for (int i = 0; i < 250 && !c.connected(); i++) {
+      if (!c.Connect()) {
+        usleep(20 * 1000);
+      }
+    }
+    return c.connected();
+  };
+  constexpr uint64_t kClient = 11;
+  const std::string key = "dedup-k";
+
+  Client first("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(connect(first));
+  std::string result;
+  ASSERT_TRUE(first.Call(smr::MakePut(kClient, 1, key, "a"), &result));
+  ASSERT_TRUE(first.Call(smr::MakeRmw(kClient, 2, key, "b"), &result));
+  EXPECT_EQ(result, "a");
+  ASSERT_TRUE(first.Call(smr::MakeRmw(kClient, 3, key, "c"), &result));
+  EXPECT_EQ(result, "ab");
+  ASSERT_TRUE(cluster.WaitAllApplied(3));
+  std::vector<uint64_t> applied;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    applied.push_back(cluster.applied_ops(i));
+  }
+
+  Client second("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(connect(second));
+  std::string cached;
+  ASSERT_TRUE(second.Call(smr::MakeRmw(kClient, 3, key, "c"), &cached));
+  EXPECT_EQ(cached, "ab") << "a re-execution would have answered \"abc\"";
+  EXPECT_EQ(cluster.applied_ops(0), applied[0]);
+  std::string older;
+  ASSERT_TRUE(second.Call(smr::MakeRmw(kClient, 2, key, "b"), &older));
+  EXPECT_EQ(older, "");
+  // Nothing executes late either.
+  usleep(200 * 1000);
+  for (uint32_t i = 0; i < kNodes; i++) {
+    EXPECT_EQ(cluster.applied_ops(i), applied[i]) << "node " << i;
+  }
+  cluster.StopAll();
 }
 
 // A client whose server never comes back exhausts its retries and reports it,

@@ -12,18 +12,21 @@
 // even for order-sensitive kRmw.
 //
 // The crash drill stops one shard's worker thread mid-run: the dead shard's
-// input is dropped (never wedging the I/O thread), every other shard keeps
+// input is dropped (never wedging the node), every other shard keeps
 // committing across all three nodes, and full-cluster shutdown still joins
 // cleanly (the 120s ctest timeout is the deadlock guard).
 //
-// The hop-ledger test pins the runtime's shape: peer traffic runs on the
-// workers' own sockets, so only client submits and replies cross a mailbox.
+// The hop-ledger tests pin the runtime's shape: peer traffic and clients run
+// on the workers' own sockets, so at P=1 no request crosses a mailbox, and at
+// P=4 only the requests for another shard than the client's home worker's
+// cross, to the owning worker and back.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -263,7 +266,7 @@ TEST(RtThreadedTest, BatchedSubmissionConvergesToSameState) {
 
 // Crash drill: stop one shard's worker thread on node 0 mid-run. The other
 // shards keep committing on ALL nodes (including node 0 — a dead shard must
-// not wedge its node's I/O thread), and full shutdown joins cleanly.
+// not wedge its node), and full shutdown joins cleanly.
 TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
   for (int attempt = 0; attempt < 5; attempt++) {
     uint16_t base =
@@ -382,17 +385,25 @@ TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
   FAIL() << "could not bind a port block after 5 attempts";
 }
 
-// The hop ledger: protocol traffic stays on the workers' own sockets. One
-// client on node 0 of a 3-node P=1 Atlas cluster makes N blocking calls after
-// a warm-up that every node applied (so every worker holds its peers and no
-// socket handoff lands in the window). Across the calls, nodes 1 and 2 see no
-// mailbox item at all, and node 0 exactly one submit in and one reply out per
-// call.
-TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
+// The hop ledger around N blocking client calls: one client on node 0 of a
+// 3-node Atlas cluster with `partitions` shards makes kCalls calls after a
+// warm-up that every node applied (so every worker holds its peers and no
+// socket handoff lands in the window).
+struct HopLedger {
+  bool warm = false;
+  bool drained = false;
+  uint64_t ok_calls = 0;
+  uint64_t first_seq = 0;  // the calls are seqs [first_seq, first_seq + kCalls)
+  std::vector<HopCounts> before = std::vector<HopCounts>(kNodes);
+  std::vector<HopCounts> after = std::vector<HopCounts>(kNodes);
+};
+
+constexpr uint64_t kLedgerCalls = 50;
+
+void RunHopLedger(uint32_t partitions, uint16_t port_base, HopLedger* out) {
   constexpr uint64_t kWarmup = 5;
-  constexpr uint64_t kCalls = 50;
   for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base = static_cast<uint16_t>(46500 + attempt * 16 + (getpid() % 512));
+    uint16_t base = static_cast<uint16_t>(port_base + attempt * 16 + (getpid() % 512));
     std::vector<PeerAddress> addrs;
     for (uint32_t i = 0; i < kNodes; i++) {
       addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
@@ -402,7 +413,7 @@ TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
     bool bind_ok = true;
     for (uint32_t i = 0; i < kNodes && bind_ok; i++) {
       smr::DeploymentOptions d = MakeOptions(smr::Protocol::kAtlas, 0);
-      d.partitions = 1;
+      d.partitions = partitions;
       replicas.push_back(std::make_unique<smr::Deployment>(d));
       nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
       bind_ok = nodes.back()->Listen();
@@ -429,11 +440,6 @@ TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
       return false;
     };
 
-    uint64_t ok_calls = 0;
-    bool warm = false;
-    bool drained = false;
-    std::vector<HopCounts> before(kNodes);
-    std::vector<HopCounts> after(kNodes);
     {
       Client client("127.0.0.1", addrs[0].port);
       bool connected = false;
@@ -444,16 +450,17 @@ TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
       for (uint64_t i = 1; connected && i <= kWarmup; i++) {
         client.Call(ScriptedOp(1, i), &result);
       }
-      warm = connected && all_applied(kWarmup);
+      out->warm = connected && all_applied(kWarmup);
       for (uint32_t i = 0; i < kNodes; i++) {
-        before[i] = nodes[i]->shard_runtime()->hops();
+        out->before[i] = nodes[i]->shard_runtime()->hops();
       }
-      for (uint64_t i = kWarmup + 1; warm && i <= kWarmup + kCalls; i++) {
-        ok_calls += client.Call(ScriptedOp(1, i), &result) ? 1 : 0;
+      out->first_seq = kWarmup + 1;
+      for (uint64_t i = kWarmup + 1; out->warm && i <= kWarmup + kLedgerCalls; i++) {
+        out->ok_calls += client.Call(ScriptedOp(1, i), &result) ? 1 : 0;
       }
-      drained = warm && all_applied(kWarmup + kCalls);
+      out->drained = out->warm && all_applied(kWarmup + kLedgerCalls);
       for (uint32_t i = 0; i < kNodes; i++) {
-        after[i] = nodes[i]->shard_runtime()->hops();
+        out->after[i] = nodes[i]->shard_runtime()->hops();
       }
     }
     for (auto& node : nodes) {
@@ -462,15 +469,156 @@ TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
     for (auto& t : node_threads) {
       t.join();
     }
-    ASSERT_TRUE(warm) << "warm-up did not reach every node";
-    EXPECT_EQ(ok_calls, kCalls);
-    EXPECT_TRUE(drained);
-    EXPECT_EQ(after[0].inbox_items - before[0].inbox_items, kCalls);
-    EXPECT_EQ(after[0].outbox_items - before[0].outbox_items, kCalls);
-    for (uint32_t i = 1; i < kNodes; i++) {
-      EXPECT_EQ(after[i].inbox_items, before[i].inbox_items) << "node " << i;
-      EXPECT_EQ(after[i].outbox_items, before[i].outbox_items) << "node " << i;
+    return;
+  }
+  FAIL() << "could not bind a port block after 5 attempts";
+}
+
+// At P=1 a node's one worker owns its peer sockets and its clients, so
+// across the calls no node sees a mailbox item of any kind: no socket
+// handoff, no forward, no returned reply and no doorbell write.
+TEST(RtThreadedTest, PeerTrafficNeverCrossesAMailbox) {
+  HopLedger l;
+  RunHopLedger(/*partitions=*/1, 46500, &l);
+  if (HasFatalFailure()) {
+    return;
+  }
+  ASSERT_TRUE(l.warm) << "warm-up did not reach every node";
+  EXPECT_EQ(l.ok_calls, kLedgerCalls);
+  EXPECT_TRUE(l.drained);
+  for (uint32_t i = 0; i < kNodes; i++) {
+    EXPECT_EQ(l.after[i].inbox_items, l.before[i].inbox_items) << "node " << i;
+    EXPECT_EQ(l.after[i].forwarded, l.before[i].forwarded) << "node " << i;
+    EXPECT_EQ(l.after[i].returned, l.before[i].returned) << "node " << i;
+    EXPECT_EQ(l.after[i].bell_writes, l.before[i].bell_writes) << "node " << i;
+  }
+}
+
+// At P=4 the client's home worker submits the calls for its own shard and
+// forwards each of the others to its shard's owner, which sends exactly one
+// reply back. Node 0's first client connection is homed on worker 0 (the
+// round-robin starts there). Nodes 1 and 2 serve no client and see nothing.
+TEST(RtThreadedTest, HomeWorkerForwardsOnlyOtherShardsRequests) {
+  HopLedger l;
+  RunHopLedger(kPartitions, 46600, &l);
+  if (HasFatalFailure()) {
+    return;
+  }
+  ASSERT_TRUE(l.warm) << "warm-up did not reach every node";
+  smr::Partitioner part(kPartitions);
+  uint64_t foreign = 0;
+  for (uint64_t i = l.first_seq; i < l.first_seq + kLedgerCalls; i++) {
+    foreign += part.ShardOf(ScriptedOp(1, i).key) != 0 ? 1 : 0;
+  }
+  ASSERT_GT(foreign, 0u);
+  ASSERT_LT(foreign, kLedgerCalls);
+  EXPECT_EQ(l.ok_calls, kLedgerCalls);
+  EXPECT_TRUE(l.drained);
+  EXPECT_EQ(l.after[0].inbox_items, l.before[0].inbox_items);
+  EXPECT_EQ(l.after[0].forwarded - l.before[0].forwarded, foreign);
+  EXPECT_EQ(l.after[0].returned - l.before[0].returned, foreign);
+  for (uint32_t i = 1; i < kNodes; i++) {
+    EXPECT_EQ(l.after[i].inbox_items, l.before[i].inbox_items) << "node " << i;
+    EXPECT_EQ(l.after[i].forwarded, l.before[i].forwarded) << "node " << i;
+    EXPECT_EQ(l.after[i].returned, l.before[i].returned) << "node " << i;
+  }
+}
+
+// Deadlock freedom at the forward cap. One client on node 0 (homed on worker
+// 0) pipelines kMailboxCapacity + 2048 requests, all for one other shard,
+// while nodes 1 and 2 are bound but not yet running: nothing can commit, so
+// the home forwards exactly kMailboxCapacity of them and then stops reading
+// the client. Once nodes 1 and 2 run, replies bring the home back under the
+// cap, it reads the rest, and every request is answered exactly once.
+TEST(RtThreadedTest, PipelinedBurstPastTheForwardCapCompletes) {
+  const uint64_t kBurst = kMailboxCapacity + 2048;
+  smr::Partitioner part(kPartitions);
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 32; i++) {
+    std::string k = "burst" + std::to_string(i);
+    if (part.ShardOf(k) == 1) {
+      keys.push_back(k);
     }
+  }
+  for (int attempt = 0; attempt < 5; attempt++) {
+    uint16_t base = static_cast<uint16_t>(46700 + attempt * 16 + (getpid() % 512));
+    std::vector<PeerAddress> addrs;
+    for (uint32_t i = 0; i < kNodes; i++) {
+      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
+    }
+    std::vector<std::unique_ptr<smr::Deployment>> replicas;
+    std::vector<std::unique_ptr<Node>> nodes;
+    bool bind_ok = true;
+    for (uint32_t i = 0; i < kNodes && bind_ok; i++) {
+      replicas.push_back(
+          std::make_unique<smr::Deployment>(MakeOptions(smr::Protocol::kAtlas, 0)));
+      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
+      bind_ok = nodes.back()->Listen();
+    }
+    if (!bind_ok) {
+      continue;
+    }
+    std::vector<std::thread> node_threads;
+    node_threads.emplace_back([&]() { nodes[0]->Run(); });
+
+    std::atomic<uint64_t> sent{0};
+    std::atomic<uint64_t> replies{0};
+    std::atomic<uint64_t> strays{0};  // duplicate or unknown seqs
+    std::thread client_thread([&]() {
+      Client client("127.0.0.1", addrs[0].port);
+      bool connected = false;
+      for (int i = 0; i < 200 && !connected; i++) {
+        connected = client.Connect() || (usleep(20 * 1000), false);
+      }
+      for (uint64_t seq = 1; connected && seq <= kBurst; seq++) {
+        if (!client.Send(smr::MakePut(7, seq, keys[seq % keys.size()], "v"))) {
+          return;
+        }
+        sent.fetch_add(1);
+      }
+      std::vector<bool> answered(kBurst + 1, false);
+      uint64_t seq = 0;
+      while (replies.load() < kBurst && client.RecvReply(&seq, nullptr)) {
+        if (seq >= 1 && seq <= kBurst && !answered[seq]) {
+          answered[seq] = true;
+          replies.fetch_add(1);
+        } else {
+          strays.fetch_add(1);
+        }
+      }
+    });
+
+    auto wait_for = [](const std::function<bool()>& done) {
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!done() && std::chrono::steady_clock::now() < deadline) {
+        usleep(5 * 1000);
+      }
+      return done();
+    };
+    ShardRuntime* home = nodes[0]->shard_runtime();
+    bool capped = wait_for([&]() { return home->hops().forwarded >= kMailboxCapacity; });
+    usleep(50 * 1000);
+    uint64_t forwarded_at_cap = home->hops().forwarded;
+    for (uint32_t i = 1; i < kNodes; i++) {
+      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
+    }
+    bool answered = wait_for([&]() { return replies.load() >= kBurst; });
+    HopCounts after = home->hops();
+    for (auto& node : nodes) {
+      node->Stop();  // also unblocks a client still waiting on its socket
+    }
+    for (auto& t : node_threads) {
+      t.join();
+    }
+    client_thread.join();
+    EXPECT_TRUE(capped) << "the home never reached the forward cap";
+    EXPECT_EQ(forwarded_at_cap, kMailboxCapacity) << "the home read past the cap";
+    EXPECT_TRUE(answered);
+    EXPECT_EQ(sent.load(), kBurst);
+    EXPECT_EQ(replies.load(), kBurst);
+    EXPECT_EQ(strays.load(), 0u);
+    EXPECT_EQ(after.forwarded, kBurst);
+    EXPECT_EQ(after.returned, kBurst);
     return;
   }
   FAIL() << "could not bind a port block after 5 attempts";
